@@ -8,10 +8,11 @@ Two layers, mirroring :mod:`repro.net.client`:
   :class:`~repro.cluster.ring.HashRing` assigns them, and
   :meth:`ClusterConnection.finalize` runs the round-close **barrier** —
   drain every shard, collect each shard's raw
-  :class:`~repro.service.server.ExportedShardState`, merge the exact int64
-  counts with the :class:`~repro.service.shards.LevelShard` algebra, and
-  estimate **once** via the same
-  :func:`~repro.service.server.finalize_estimate` the single server calls.
+  :class:`~repro.service.server.ExportedShardState`, validate them against
+  the logical round, then merge the exact int64 counts and estimate
+  **once** via :func:`~repro.service.server.estimate_exported` — the
+  same close a single :class:`~repro.net.client.GatewayConnection` runs
+  on its one exported state.
 * :class:`ClusterCoordinator` — the
   :class:`~repro.net.client.RemoteAggregationServer` of a cluster: the
   same server protocol (``open_round`` / ``ingest_batch`` /
@@ -39,7 +40,7 @@ codes, branchable like the PR 5 codes):
 * ``ring_version_mismatch`` — the ring changed between round open and the
   barrier, so routing can no longer be trusted;
 * ``shard_mismatch`` — a shard's exported state disagrees with the
-  logical round (identity fields or accounting totals).
+  logical round (identity fields, broadcast size or accounting totals).
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.ldp.base import EstimationResult
-from repro.ldp.registry import make_oracle
 from repro.net.client import GatewayConnection, RemoteAggregationServer, parse_address
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
 from repro.service.protocol import RoundBroadcast, encode_broadcast, wire_bits
-from repro.service.server import ExportedShardState, ServiceError, finalize_estimate
+from repro.service.server import ExportedShardState, ServiceError, estimate_exported
 
 
 def parse_cluster_addresses(addresses) -> list[str]:
@@ -326,9 +324,10 @@ class ClusterConnection:
         each against the logical round (identity fields *and* the exact
         batch/bit totals the coordinator accounted), merges the int64
         counts with the commutative shard algebra, and produces the
-        estimate through :func:`~repro.service.server.finalize_estimate`
-        — the same call, on the same inputs, as a single server ingesting
-        the whole stream.
+        estimate through :func:`~repro.service.server.estimate_exported`
+        — the same close a single gateway runs, and the same
+        ``finalize_estimate`` call on the same inputs as a single server
+        ingesting the whole stream.
         """
         round_ = self._round(round_id)
         if self.ring.version != round_.ring_version:
@@ -359,19 +358,7 @@ class ClusterConnection:
                     )
                 )
             self._validate_states(round_, states)
-            oracle = make_oracle(round_.oracle_name, round_.epsilon)
-            counts = np.zeros(round_.domain_size, dtype=np.int64)
-            for state in states:
-                counts = oracle.merge_counts(counts, state.counts)
-            result = finalize_estimate(
-                oracle,
-                counts,
-                sum(state.n_users for state in states),
-                round_.domain_size,
-                n_batches=round_.n_batches,
-                upload_bits=round_.upload_bits,
-                broadcast_bits=round_.broadcast_bits,
-            )
+            result = estimate_exported(states)
         except BaseException as exc:
             if span is not None:
                 span.finish(error=f"{type(exc).__name__}: {exc}")
@@ -392,6 +379,7 @@ class ClusterConnection:
                 ("oracle", round_.oracle_name, state.oracle_name),
                 ("epsilon", round_.epsilon, state.epsilon),
                 ("domain_size", round_.domain_size, state.domain_size),
+                ("broadcast_bits", round_.broadcast_bits, state.broadcast_bits),
             ):
                 if got != expected:
                     raise ServiceError(

@@ -5,8 +5,9 @@ canonical bytes — but inside one process.  This subsystem puts those same
 bytes on TCP:
 
 * :mod:`repro.net.framing` — typed, length-prefixed frames wrapping the
-  service codecs unchanged, plus the lossless estimate codec and the
-  structured error-frame mapping;
+  service codecs unchanged, plus the lossless shard-state codec (every
+  round closes by exporting its exact counts) and the structured
+  error-frame mapping;
 * :mod:`repro.net.gateway` — :class:`AggregationGateway`, an asyncio TCP
   front for an :class:`~repro.service.server.AggregationServer`: decode
   fan-out on the execution engine, credit-based per-connection
@@ -36,16 +37,13 @@ from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_BROADCAST_REQUEST,
     FRAME_ERROR,
-    FRAME_ESTIMATE,
     FRAME_REPORT_BATCH,
     FRAME_ROUND_CONTROL,
     FRAME_STATS,
     Frame,
     FrameError,
     OversizeFrameError,
-    decode_estimate,
     decode_metrics_frame,
-    encode_estimate,
     encode_frame,
     encode_metrics_frame,
     error_to_exception,
@@ -65,7 +63,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "FRAME_BROADCAST_REQUEST",
     "FRAME_ERROR",
-    "FRAME_ESTIMATE",
     "FRAME_REPORT_BATCH",
     "FRAME_ROUND_CONTROL",
     "FRAME_STATS",
@@ -76,9 +73,7 @@ __all__ = [
     "LoadgenReport",
     "OversizeFrameError",
     "RemoteAggregationServer",
-    "decode_estimate",
     "decode_metrics_frame",
-    "encode_estimate",
     "encode_frame",
     "encode_metrics_frame",
     "error_to_exception",

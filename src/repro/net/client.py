@@ -5,8 +5,11 @@ Two layers:
 * :class:`GatewayConnection` — one TCP connection speaking the frame
   protocol: round opening, credit-aware pipelined batch upload (it never
   exceeds the credit budget the gateway announced, and it measures the
-  send→ack latency of every batch), finalisation, stats, shutdown.  Error
-  frames re-raise as the exact exception the in-memory path raises
+  send→ack latency of every batch), round close, stats, shutdown.  A
+  round closes the way a cluster round does, as its one-shard case: the
+  gateway exports the exact counts and the client estimates once
+  (:func:`~repro.service.server.estimate_exported`).  Error frames
+  re-raise as the exact exception the in-memory path raises
   (:func:`repro.net.framing.error_to_exception`).
 * :class:`RemoteAggregationServer` — a drop-in for
   :class:`~repro.service.server.AggregationServer` as far as
@@ -36,7 +39,6 @@ from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_BROADCAST_REQUEST,
     FRAME_ERROR,
-    FRAME_ESTIMATE,
     FRAME_HEADER_SIZE,
     FRAME_REPORT_BATCH,
     FRAME_ROUND_CONTROL,
@@ -55,7 +57,7 @@ from repro.service.protocol import (
     encode_report_batch,
     wire_bits,
 )
-from repro.service.server import ServiceError
+from repro.service.server import ServiceError, estimate_exported
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -157,7 +159,7 @@ class GatewayConnection:
     def _operation_deadline(self, seconds: float | None):
         """Bound all reads of one operation by a single shared deadline.
 
-        The outermost operation wins: nested operations (``finalize``
+        The outermost operation wins: nested operations (``export_shard``
         calls ``drain``) run under the deadline already in force rather
         than extending it.  On exit the socket's per-read timeout is
         restored.
@@ -194,9 +196,10 @@ class GatewayConnection:
         length, raw_kind = framing.parse_frame_header(self._read_exact(FRAME_HEADER_SIZE))
         kind, has_trace = framing.split_frame_kind(raw_kind)
         # ``self.max_frame_bytes`` is the gateway's *ingress* bound (what
-        # we may upload); frames the gateway sends back — estimate frames
-        # scale with the domain, not with batches — are only sanity-capped
-        # by the client's own generous default.
+        # we may upload); frames the gateway sends back — shard states
+        # scale with the domain, metrics documents with the gateway's
+        # series — are only sanity-capped by the client's own generous
+        # default.
         framing.check_frame_header(
             length, kind, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES
         )
@@ -359,45 +362,26 @@ class GatewayConnection:
     def finalize(
         self, round_id: int, *, deadline: float | None = None
     ) -> EstimationResult:
-        """Drain, close the round on the gateway, decode the estimate.
+        """Close the round: export its exact counts, estimate them here.
 
-        One ``deadline`` (default: ``op_timeout``) covers the drain *and*
-        the estimate read, so a gateway that straggles mid-finalize
-        surfaces ``socket.timeout`` instead of stretching the caller's
-        merge barrier one per-read timeout at a time.
+        A single gateway is a one-shard cluster: :meth:`export_shard`
+        plus the same :func:`~repro.service.server.estimate_exported`
+        the cluster barrier runs.  ``deadline`` bounds the export, as
+        there.
         """
-        with self._operation_deadline(
-            deadline if deadline is not None else self.op_timeout
-        ):
-            self.drain()
-            self._send(
-                FRAME_ROUND_CONTROL,
-                framing.encode_control({"op": "finalize", "round_id": int(round_id)}),
-            )
-            frame = self._next_message()
-            if frame.kind != FRAME_ESTIMATE:
-                raise FrameError(
-                    f"expected an estimate frame, got frame kind {frame.kind}"
-                )
-            echoed, estimate = framing.decode_estimate_frame(frame.body)
-            if echoed != int(round_id):
-                raise FrameError(
-                    f"estimate answers round {echoed}, expected {round_id}"
-                )
-            span = self._round_spans.pop(int(round_id), None)
-            if span is not None:
-                span.finish(op="finalize", n_users=estimate.n_users)
-            return estimate
+        return estimate_exported([self.export_shard(round_id, deadline=deadline)])
 
     def export_shard(self, round_id: int, *, deadline: float | None = None):
         """Drain, close the round, and lift off its raw shard state.
 
-        The client half of the cluster's round-close barrier
-        (``{"op": "export_shard"}``): the round ends like
-        :meth:`finalize`, but the gateway answers with its **exact**
-        unestimated int64 counts
-        (:class:`~repro.service.server.ExportedShardState`) so a
-        coordinator can merge them across shards and estimate once.
+        ``{"op": "export_shard"}`` on the wire: the gateway answers with
+        its **exact** unestimated int64 counts
+        (:class:`~repro.service.server.ExportedShardState`) for the
+        client to merge (across shards, in a cluster) and estimate once.
+        One ``deadline`` (default: ``op_timeout``) covers the drain *and*
+        the state read, so a gateway that straggles mid-close surfaces
+        ``socket.timeout`` instead of stretching the caller's merge
+        barrier one per-read timeout at a time.
         """
         with self._operation_deadline(
             deadline if deadline is not None else self.op_timeout

@@ -14,18 +14,16 @@ and the body of each kind wraps the existing canonical codecs **unchanged**:
   batch`` (the ``seq`` is echoed in the ack, which is how the client
   measures per-batch latency and runs the credit loop);
 * ``FRAME_ROUND_CONTROL`` — a canonical-JSON control message (welcome /
-  round_open / batch_ack / finalize / stats / shutdown);
+  round_open / batch_ack / export_shard / metrics / stats / shutdown);
 * ``FRAME_ERROR`` — a structured ``{code, message}`` document mapping back
   to the exact exception the in-memory path would have raised
   (:func:`error_to_exception`);
-* ``FRAME_ESTIMATE`` — ``u32 round_id`` plus a lossless
-  :class:`~repro.ldp.base.EstimationResult` encoding
-  (:func:`encode_estimate`), the finalize response;
 * ``FRAME_SHARD_STATE`` — ``u32 round_id`` plus a lossless
   :class:`~repro.service.server.ExportedShardState` encoding
-  (:func:`encode_shard_state`): a shard gateway's raw, **unestimated**
-  accumulator counts, the coordinator's round-close barrier collects
-  one of these per shard and merges them before estimating once;
+  (:func:`encode_shard_state`): a gateway's raw, **unestimated**
+  accumulator counts, the answer to ``{"op": "export_shard"}`` and the
+  only way a round closes over the wire — the client collects one per
+  shard (one from a single gateway), merges them and estimates once;
 * ``FRAME_STATS`` — a canonical-JSON telemetry document
   (:data:`repro.obs.registry.METRICS_SCHEMA`): the gateway's answer to a
   ``{"op": "metrics"}`` control message, what ``repro stats`` scrapes.
@@ -53,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ldp.base import EstimationResult
 from repro.service.protocol import WireFormatError
 from repro.service.server import (
     SERVICE_ERROR_CODES,
@@ -68,7 +65,7 @@ FRAME_ROUND_CONTROL = 1
 FRAME_REPORT_BATCH = 2
 FRAME_BROADCAST_REQUEST = 3
 FRAME_ERROR = 4
-FRAME_ESTIMATE = 5
+# Kind 5 (a gateway-side estimate) is retired and stays unassigned.
 FRAME_SHARD_STATE = 6
 FRAME_STATS = 7
 
@@ -77,7 +74,6 @@ FRAME_KINDS: tuple[int, ...] = (
     FRAME_REPORT_BATCH,
     FRAME_BROADCAST_REQUEST,
     FRAME_ERROR,
-    FRAME_ESTIMATE,
     FRAME_SHARD_STATE,
     FRAME_STATS,
 )
@@ -88,7 +84,6 @@ FRAME_KIND_NAMES: dict[int, str] = {
     FRAME_REPORT_BATCH: "report_batch",
     FRAME_BROADCAST_REQUEST: "broadcast_request",
     FRAME_ERROR: "error",
-    FRAME_ESTIMATE: "estimate",
     FRAME_SHARD_STATE: "shard_state",
     FRAME_STATS: "stats",
 }
@@ -121,7 +116,7 @@ def split_frame_kind(raw_kind: int) -> tuple[int, bool]:
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct("<IB")
-_ESTIMATE_MAGIC = b"EST1"
+_U32 = struct.Struct("<I")
 _SHARD_STATE_MAGIC = b"SHS1"
 
 
@@ -295,120 +290,16 @@ def decode_error(body: bytes) -> Exception:
 
 
 # --------------------------------------------------------------------------- #
-# Estimate frames (lossless EstimationResult)
-# --------------------------------------------------------------------------- #
-_ESTIMATE_PREFIX = struct.Struct("<I")
-
-
-def encode_estimate(result: EstimationResult) -> bytes:
-    """Serialise an estimation result without losing a single bit.
-
-    Counts travel as raw little-endian ``int64``/``float64`` buffers (JSON
-    would round-trip the floats too, via ``repr``, but raw buffers are a
-    third the size and decode without parsing); the scalar fields and the
-    metadata dict travel as a canonical JSON header.
-    """
-    header = json.dumps(
-        {
-            "n_users": int(result.n_users),
-            "domain_size": int(result.domain_size),
-            "oracle": result.oracle_name,
-            "epsilon": float(result.epsilon),
-            "metadata": dict(result.metadata),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    support = np.ascontiguousarray(result.support_counts, dtype="<i8")
-    counts = np.ascontiguousarray(result.estimated_counts, dtype="<f8")
-    freqs = np.ascontiguousarray(result.estimated_frequencies, dtype="<f8")
-    d = int(result.domain_size)
-    if not (support.shape == counts.shape == freqs.shape == (d,)):
-        raise FrameError(
-            f"estimate arrays must all have shape ({d},), got "
-            f"{support.shape}/{counts.shape}/{freqs.shape}"
-        )
-    return b"".join(
-        (
-            _ESTIMATE_MAGIC,
-            _ESTIMATE_PREFIX.pack(len(header)),
-            header,
-            support.tobytes(),
-            counts.tobytes(),
-            freqs.tobytes(),
-        )
-    )
-
-
-def decode_estimate(data: bytes) -> EstimationResult:
-    """Reconstruct an :class:`~repro.ldp.base.EstimationResult`, losslessly."""
-    if data[:4] != _ESTIMATE_MAGIC:
-        raise FrameError(
-            f"bad estimate magic {data[:4]!r}, expected {_ESTIMATE_MAGIC!r}"
-        )
-    try:
-        (header_len,) = _ESTIMATE_PREFIX.unpack_from(data, 4)
-    except struct.error as exc:
-        raise FrameError(f"estimate header does not parse: {exc}") from exc
-    offset = 4 + _ESTIMATE_PREFIX.size
-    if offset + header_len > len(data):
-        raise FrameError("estimate header overruns the buffer")
-    try:
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-        domain_size = int(header["domain_size"])
-        n_users = int(header["n_users"])
-        oracle_name = header["oracle"]
-        epsilon = float(header["epsilon"])
-        metadata = dict(header.get("metadata") or {})
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FrameError(f"estimate header is malformed: {exc!r}") from exc
-    offset += header_len
-    expected = offset + domain_size * (8 + 8 + 8)
-    if len(data) != expected:
-        raise FrameError(
-            f"estimate payload is {len(data)} bytes, expected {expected}"
-        )
-    support = np.frombuffer(data, dtype="<i8", count=domain_size, offset=offset)
-    offset += domain_size * 8
-    counts = np.frombuffer(data, dtype="<f8", count=domain_size, offset=offset)
-    offset += domain_size * 8
-    freqs = np.frombuffer(data, dtype="<f8", count=domain_size, offset=offset)
-    return EstimationResult(
-        support_counts=support.astype(np.int64),
-        estimated_counts=counts.astype(np.float64),
-        estimated_frequencies=freqs.astype(np.float64),
-        n_users=n_users,
-        domain_size=domain_size,
-        oracle_name=oracle_name,
-        epsilon=epsilon,
-        metadata=metadata,
-    )
-
-
-def encode_estimate_frame(round_id: int, result: EstimationResult) -> bytes:
-    """Body of a ``FRAME_ESTIMATE``: the round id plus the encoded result."""
-    return _ESTIMATE_PREFIX.pack(round_id) + encode_estimate(result)
-
-
-def decode_estimate_frame(body: bytes) -> tuple[int, EstimationResult]:
-    """``(round_id, result)`` of an estimate frame body."""
-    if len(body) < _ESTIMATE_PREFIX.size:
-        raise FrameError("estimate frame body misses its round id")
-    (round_id,) = _ESTIMATE_PREFIX.unpack_from(body)
-    return int(round_id), decode_estimate(body[_ESTIMATE_PREFIX.size :])
-
-
-# --------------------------------------------------------------------------- #
 # Shard-state frames (lossless ExportedShardState)
 # --------------------------------------------------------------------------- #
 def encode_shard_state(state: ExportedShardState) -> bytes:
     """Serialise one shard's exported round state without losing a bit.
 
-    Mirrors :func:`encode_estimate`: scalar round metadata travels as a
-    canonical JSON header, the exact support counts as a raw
-    little-endian ``int64`` buffer.  Counts are integers (never
-    estimates), so merging decoded states on the coordinator is exact —
-    the property the cluster's bit-identity invariant rests on.
+    Scalar round metadata travels as a canonical JSON header, the exact
+    support counts as a raw little-endian ``int64`` buffer.  Counts are
+    integers (never estimates), so merging decoded states on the client
+    is exact — the property every networked bit-identity invariant
+    rests on.
     """
     header = json.dumps(
         {
@@ -420,6 +311,7 @@ def encode_shard_state(state: ExportedShardState) -> bytes:
             "n_users": int(state.n_users),
             "n_batches": int(state.n_batches),
             "upload_bits": int(state.upload_bits),
+            "broadcast_bits": int(state.broadcast_bits),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -433,7 +325,7 @@ def encode_shard_state(state: ExportedShardState) -> bytes:
     return b"".join(
         (
             _SHARD_STATE_MAGIC,
-            _ESTIMATE_PREFIX.pack(len(header)),
+            _U32.pack(len(header)),
             header,
             counts.tobytes(),
         )
@@ -447,10 +339,10 @@ def decode_shard_state(data: bytes) -> ExportedShardState:
             f"bad shard-state magic {data[:4]!r}, expected {_SHARD_STATE_MAGIC!r}"
         )
     try:
-        (header_len,) = _ESTIMATE_PREFIX.unpack_from(data, 4)
+        (header_len,) = _U32.unpack_from(data, 4)
     except struct.error as exc:
         raise FrameError(f"shard-state header does not parse: {exc}") from exc
-    offset = 4 + _ESTIMATE_PREFIX.size
+    offset = 4 + _U32.size
     if offset + header_len > len(data):
         raise FrameError("shard-state header overruns the buffer")
     try:
@@ -463,6 +355,7 @@ def decode_shard_state(data: bytes) -> ExportedShardState:
         n_users = int(header["n_users"])
         n_batches = int(header["n_batches"])
         upload_bits = int(header["upload_bits"])
+        broadcast_bits = int(header["broadcast_bits"])
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FrameError(f"shard-state header is malformed: {exc!r}") from exc
     offset += header_len
@@ -481,21 +374,22 @@ def decode_shard_state(data: bytes) -> ExportedShardState:
         n_users=n_users,
         n_batches=n_batches,
         upload_bits=upload_bits,
+        broadcast_bits=broadcast_bits,
         counts=counts.astype(np.int64),
     )
 
 
 def encode_shard_state_frame(round_id: int, state: ExportedShardState) -> bytes:
     """Body of a ``FRAME_SHARD_STATE``: the round id plus the encoded state."""
-    return _ESTIMATE_PREFIX.pack(round_id) + encode_shard_state(state)
+    return _U32.pack(round_id) + encode_shard_state(state)
 
 
 def decode_shard_state_frame(body: bytes) -> tuple[int, ExportedShardState]:
     """``(round_id, state)`` of a shard-state frame body."""
-    if len(body) < _ESTIMATE_PREFIX.size:
+    if len(body) < _U32.size:
         raise FrameError("shard-state frame body misses its round id")
-    (round_id,) = _ESTIMATE_PREFIX.unpack_from(body)
-    return int(round_id), decode_shard_state(body[_ESTIMATE_PREFIX.size :])
+    (round_id,) = _U32.unpack_from(body)
+    return int(round_id), decode_shard_state(body[_U32.size :])
 
 
 # --------------------------------------------------------------------------- #

@@ -7,8 +7,11 @@ client connections:
 * **round lifecycle** — a broadcast-request frame opens a round (the
   gateway reconstructs the round's oracle and candidate domain from the
   decoded broadcast, then re-encodes it for accounting — canonical codecs
-  make the re-encoding byte-identical); a ``finalize`` control message
-  closes it and returns the lossless estimate frame;
+  make the re-encoding byte-identical); an ``export_shard`` control
+  message closes it and returns the round's exact, **unestimated** counts
+  as a shard-state frame — the gateway never estimates: the client
+  merges (one state here, one per shard in a cluster) and estimates
+  once;
 * **columnar decode fan-out** — report-batch frames are decoded *and
   counted* on the gateway's execution backend (:mod:`repro.engine`) while
   the single-threaded event loop keeps reading: each worker reduces its
@@ -17,12 +20,10 @@ client connections:
   count vectors — never report buffers — cross back to the accumulator,
   which merges them via
   :meth:`~repro.service.server.AggregationServer.ingest_summary` on one
-  thread so totals never race.  ``columnar_decode=False`` falls back to
-  shipping decoded batches into
-  :meth:`~repro.service.server.AggregationServer.ingest_decoded`; both
-  paths are bit-identical in estimates, transcripts and accounting
-  (counts are exact integers), which
-  ``tests/test_columnar_equivalence.py`` pins;
+  thread so totals never race.  Counts are exact integers, so this is
+  bit-identical to the in-process
+  :meth:`~repro.service.server.AggregationServer.ingest` in estimates,
+  transcripts and accounting (``tests/test_columnar_equivalence.py``);
 * **admission control** — frames above ``max_frame_bytes`` are refused on
   their 5-byte header alone (the body is never read); a global
   ``max_inflight_batches`` semaphore bounds decode memory — when it is
@@ -33,7 +34,9 @@ client connections:
   it);
 * **exact accounting** — identical to in-memory mode, because the bytes
   inside a report/broadcast frame *are* the canonical service encoding
-  the in-memory server accounts.
+  the in-memory server accounts.  The embedded server's message log is
+  drained at every round close: clients keep their own transcript, so
+  the gateway's would only grow.
 
 Synchronous hosts (tests, examples, the load generator, ``repro serve
 --listen`` is async-native) use :func:`start_gateway`, which runs the
@@ -45,7 +48,7 @@ clients (localhost/lab networks), not an authenticated production
 endpoint: admission control protects the *server's resources* (frame
 sizes, in-flight decode memory, domain allocations tied to broadcast
 size), while rounds deliberately have no connection ownership — any
-connection may stream into or finalize any round.  That is load-bearing:
+connection may stream into or close any round.  That is load-bearing:
 a process-backend client pickles its
 :class:`~repro.net.client.RemoteAggregationServer` into workers, which
 reconnect and legitimately finish rounds their parent's connection
@@ -68,7 +71,6 @@ from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_BROADCAST_REQUEST,
     FRAME_ERROR,
-    FRAME_ESTIMATE,
     FRAME_HEADER_SIZE,
     FRAME_KINDS,
     FRAME_REPORT_BATCH,
@@ -80,13 +82,8 @@ from repro.net.framing import (
 )
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
 from repro.obs.trace import SpanContext, Tracer
-from repro.service.columnar import BatchSummary, summarize_report_payload
-from repro.service.protocol import (
-    WireFormatError,
-    decode_broadcast,
-    decode_report_batch,
-    wire_bits,
-)
+from repro.service.columnar import summarize_report_payload
+from repro.service.protocol import WireFormatError, decode_broadcast, wire_bits
 from repro.service.server import AggregationServer, ServiceError
 from repro.utils.validation import check_positive
 
@@ -192,12 +189,6 @@ class AggregationGateway:
         Whether a ``{"op": "shutdown"}`` control message stops the
         gateway (operator convenience for scripted runs; disable for
         long-lived servers).
-    columnar_decode:
-        When True (the default), decode workers summarise each batch to
-        its ``O(domain_size)`` count vector and the accumulator only
-        merges counts; when False, workers return decoded report batches
-        and the accumulator ingests them (the reference path the
-        equivalence tests compare against).
     metrics:
         A :class:`~repro.obs.registry.MetricsRegistry` to instrument into
         (default: the gateway creates its own).  The registry is shared
@@ -228,7 +219,6 @@ class AggregationGateway:
         max_inflight_batches: int = DEFAULT_MAX_INFLIGHT_BATCHES,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         allow_shutdown: bool = True,
-        columnar_decode: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         trace_log: str | None = None,
@@ -243,7 +233,6 @@ class AggregationGateway:
         self.max_inflight_batches = int(max_inflight_batches)
         self.max_frame_bytes = int(max_frame_bytes)
         self.allow_shutdown = bool(allow_shutdown)
-        self.columnar_decode = bool(columnar_decode)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._owns_tracer = tracer is None and trace_log is not None
         self.tracer = tracer if tracer is not None else (
@@ -275,7 +264,6 @@ class AggregationGateway:
         self._m_inflight = m.gauge("gateway_inflight_batches")
         self._m_batch_ms = m.histogram("gateway_batch_ms")
         self._m_rounds_opened = m.counter("gateway_rounds_opened_total")
-        self._m_rounds_finalized = m.counter("gateway_rounds_finalized_total")
         self._m_shards_exported = m.counter("gateway_shards_exported_total")
         # All mutations of the inner server run on this one worker — the
         # serialization the accounting needs — while the event loop stays
@@ -438,7 +426,8 @@ class AggregationGateway:
             return True
         if frame.kind == FRAME_ROUND_CONTROL:
             return await self._on_control(state, frame.body)
-        # Clients never send ERROR/ESTIMATE; treat them as framing abuse.
+        # Clients never send ERROR/SHARD_STATE/STATS; treat them as
+        # framing abuse.
         self.n_frames_rejected += 1
         self._m_frames_rejected.inc()
         await state.send_error(FrameError(f"unexpected frame kind {frame.kind}"))
@@ -531,8 +520,8 @@ class AggregationGateway:
         try:
             # Round-state errors precede codec errors (matching the
             # in-memory server), and a batch for a dead round never costs
-            # the engine a decode.  A racing finalize on the accumulator
-            # thread is re-checked authoritatively inside ingest_decoded.
+            # the engine a decode.  A racing export on the accumulator
+            # thread is re-checked authoritatively inside ingest_summary.
             self.server.check_open(round_id)
         except ServiceError as exc:
             await state.send_error(exc, seq=seq)
@@ -563,8 +552,7 @@ class AggregationGateway:
             else None
         )
         span = self._frame_span("gateway.ingest", frame, round_id=round_id, seq=seq)
-        decode = summarize_report_payload if self.columnar_decode else decode_report_batch
-        future = self._engine.submit(decode, payload)
+        future = self._engine.submit(summarize_report_payload, payload)
         task = asyncio.get_running_loop().create_task(
             self._ingest(state, round_id, seq, wire_bits(payload), future, t0, span)
         )
@@ -575,23 +563,15 @@ class AggregationGateway:
     async def _ingest(self, state, round_id, seq, payload_bits, future, t0=None, span=None) -> None:
         try:
             try:
-                batch = await asyncio.wrap_future(future)
-                if isinstance(batch, BatchSummary):
-                    ingest = partial(
+                summary = await asyncio.wrap_future(future)
+                n = await asyncio.get_running_loop().run_in_executor(
+                    self._accumulator,
+                    partial(
                         self.server.ingest_summary,
                         round_id,
-                        batch,
+                        summary,
                         payload_bits=payload_bits,
-                    )
-                else:
-                    ingest = partial(
-                        self.server.ingest_decoded,
-                        round_id,
-                        batch,
-                        payload_bits=payload_bits,
-                    )
-                n = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, ingest
+                    ),
                 )
             finally:
                 self._inflight.release()
@@ -635,29 +615,16 @@ class AggregationGateway:
         try:
             message = framing.decode_control(body)
             op = message.get("op")
-            if op == "finalize":
-                # Barrier: a finalize must observe every batch the client
-                # pipelined before it (client drains its acks first, so
-                # pending here is already empty in the well-behaved case).
-                await state.drain_pending()
-                round_id = int(message["round_id"])
-                estimate = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, self.server.finalize_round, round_id
-                )
-                self._m_rounds_finalized.inc()
-                await state.send(
-                    FRAME_ESTIMATE,
-                    framing.encode_estimate_frame(round_id, estimate),
-                )
-                return True
             if op == "export_shard":
-                # The cluster coordinator's half of the round-close
-                # barrier: drain, close the round, and ship the raw
-                # (unestimated) accumulator state for cross-shard merge.
+                # The gateway's half of every round close: the export must
+                # observe every batch the client pipelined before it
+                # (client drains its acks first, so pending here is
+                # already empty in the well-behaved case), then ship the
+                # raw (unestimated) state for the client to estimate.
                 await state.drain_pending()
                 round_id = int(message["round_id"])
                 exported = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, self.server.export_shard, round_id
+                    self._accumulator, self._export_round, round_id
                 )
                 self._m_shards_exported.inc()
                 await state.send(
@@ -704,13 +671,24 @@ class AggregationGateway:
             await state.send_error(exc)
             return False
         except ServiceError as exc:
-            # Service-level failures (e.g. finalizing an unknown round)
+            # Service-level failures (e.g. exporting an unknown round)
             # leave the stream intact; the client decides what to do.
             await state.send_error(exc)
             return True
         except (KeyError, TypeError, ValueError) as exc:
             await state.send_error(FrameError(f"malformed control message: {exc!r}"))
             return False
+
+    def _export_round(self, round_id: int):
+        """Close ``round_id`` for export and drop the server's message log.
+
+        Nothing on the gateway reads that log (every client keeps its own
+        transcript), so draining it at each round close keeps a
+        long-lived gateway's memory bounded.
+        """
+        exported = self.server.export_shard(round_id)
+        self.server.drain_messages()
+        return exported
 
     # ------------------------------------------------------------------ #
     # Introspection

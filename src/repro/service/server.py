@@ -29,6 +29,7 @@ from repro.core.estimation import RoundRunner
 from repro.engine import ExecutionBackend, get_backend
 from repro.federation.messages import Message, MessageDirection
 from repro.ldp.base import EstimationResult, FrequencyOracle
+from repro.ldp.registry import make_oracle
 from repro.service.clients import iter_perturbed_batches
 from repro.service.protocol import (
     ReportBatch,
@@ -86,14 +87,17 @@ class ServiceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExportedShardState:
-    """One round's raw accumulator state, lifted off a shard gateway.
+    """One round's raw accumulator state, lifted off a gateway.
 
-    What the cluster coordinator collects at its round-close barrier:
-    the **exact** ``O(domain_size)`` int64 support counts plus the round
-    identity needed to validate the merge (estimation is nonlinear, so
-    shards must never estimate — the coordinator merges counts with the
-    :class:`~repro.service.shards.LevelShard` algebra and estimates
-    once).  Travels as a ``FRAME_SHARD_STATE``
+    What every networked round close collects — one per shard, so one
+    from a single gateway: the **exact** ``O(domain_size)`` int64
+    support counts plus the round identity needed to validate the merge
+    (estimation is nonlinear, so gateways never estimate — the client
+    merges counts with the :class:`~repro.service.shards.LevelShard`
+    algebra and estimates once, :func:`estimate_exported`).  It carries
+    the round's ``broadcast_bits`` so the estimate metadata is exact even
+    when the round is closed by a connection that did not open it.
+    Travels as a ``FRAME_SHARD_STATE``
     (:func:`repro.net.framing.encode_shard_state`).
     """
 
@@ -105,6 +109,7 @@ class ExportedShardState:
     n_users: int
     n_batches: int
     upload_bits: int
+    broadcast_bits: int
     counts: np.ndarray
 
 
@@ -121,10 +126,10 @@ def finalize_estimate(
     """Estimate a finished round from its exact support counts.
 
     The one shared finalisation path: :meth:`AggregationServer.
-    finalize_round` and the cluster coordinator's cross-shard merge both
-    call it, which is what makes an N-shard round *bit-identical* to the
-    single-server round over the same counts — identical numpy calls on
-    identical int64 inputs, identical metadata.
+    finalize_round` and every networked close (:func:`estimate_exported`)
+    call it, which is what makes a gateway or N-shard round
+    *bit-identical* to the in-process round over the same counts —
+    identical numpy calls on identical int64 inputs, identical metadata.
     """
     n = int(n_users)
     est_counts = oracle.estimate_counts(counts, n, domain_size)
@@ -143,6 +148,31 @@ def finalize_estimate(
             "upload_bits": int(upload_bits),
             "broadcast_bits": int(broadcast_bits),
         },
+    )
+
+
+def estimate_exported(states: list[ExportedShardState]) -> EstimationResult:
+    """Merge exported round states and estimate the round once.
+
+    The client half of every networked round close: a single gateway
+    hands over one :class:`ExportedShardState`, an N-shard cluster one
+    per shard (validated against the logical round before this runs).
+    The exact int64 counts merge with the oracle's commutative algebra
+    and :func:`finalize_estimate` runs once over the totals.
+    """
+    first = states[0]
+    oracle = make_oracle(first.oracle_name, first.epsilon)
+    counts = np.zeros(first.domain_size, dtype=np.int64)
+    for state in states:
+        counts = oracle.merge_counts(counts, state.counts)
+    return finalize_estimate(
+        oracle,
+        counts,
+        sum(state.n_users for state in states),
+        first.domain_size,
+        n_batches=sum(state.n_batches for state in states),
+        upload_bits=sum(state.upload_bits for state in states),
+        broadcast_bits=first.broadcast_bits,
     )
 
 
@@ -396,11 +426,10 @@ class AggregationServer:
     ) -> int:
         """Fold an already-decoded batch into a round, accounted at ``payload_bits``.
 
-        The decode/accumulate seam the network gateway uses: frame decoding
-        fans out to engine workers, while the accumulate-and-account step
-        stays on one thread.  ``payload_bits`` must be the exact wire size
-        of the batch's canonical encoding, which keeps the accounting
-        identical to :meth:`ingest`.
+        The accumulate-and-account half of :meth:`ingest`.
+        ``payload_bits`` must be the exact wire size of the batch's
+        canonical encoding, which keeps the accounting identical to
+        :meth:`ingest`.
         """
         round_ = self._round(round_id)
         self._validate_batch(round_, batch)
@@ -413,8 +442,8 @@ class AggregationServer:
     def ingest_summary(self, round_id: int, summary, *, payload_bits: int) -> int:
         """Fold a columnar batch summary into a round, accounted at ``payload_bits``.
 
-        The columnar twin of :meth:`ingest_decoded`: the engine worker has
-        already decoded *and* counted the wire batch
+        The gateway's ingest path, the columnar twin of :meth:`ingest`:
+        an engine worker has already decoded *and* counted the wire batch
         (:func:`repro.service.columnar.summarize_report_payload`), so only
         its ``O(domain_size)`` count vector reaches the accumulator.
         ``payload_bits`` is still the exact wire size of the batch the
@@ -538,12 +567,12 @@ class AggregationServer:
     def export_shard(self, round_id: int) -> ExportedShardState:
         """Close a round and hand over its raw shard state, **unestimated**.
 
-        The shard-gateway half of the cluster's round-close barrier
+        The gateway half of every networked round close
         (``{"op": "export_shard"}`` on the wire): the round ends exactly
         like :meth:`finalize_round` — closed, shard released — but the
-        exact int64 counts leave the server instead of an estimate, so a
-        coordinator can merge them with other shards' states and
-        estimate once over the cluster-wide counts.
+        exact int64 counts leave the server instead of an estimate, so
+        the client can merge them (with other shards' states, in a
+        cluster) and estimate once (:func:`estimate_exported`).
         """
         round_ = self._round(round_id)
         round_.is_open = False
@@ -560,6 +589,7 @@ class AggregationServer:
             n_users=shard.n_users,
             n_batches=round_.n_batches,
             upload_bits=round_.upload_bits,
+            broadcast_bits=round_.broadcast_bits,
             counts=np.asarray(shard.effective_counts(), dtype=np.int64),
         )
 

@@ -269,6 +269,20 @@ class TestFailureTaxonomy:
             first.close()
             second.close()
 
+    def test_disagreeing_broadcast_size_surfaces_shard_mismatch(self):
+        gateway = start_gateway()
+        try:
+            with ClusterConnection(gateway.address, timeout=5.0) as connection:
+                round_id, _ = _open_test_round(connection)
+                # Each export carries the broadcast size its shard
+                # accounted; the barrier checks it against the canonical one.
+                connection._rounds[round_id].broadcast_bits += 8
+                with pytest.raises(ServiceError, match="broadcast_bits") as err:
+                    connection.finalize(round_id)
+                assert err.value.code == "shard_mismatch"
+        finally:
+            gateway.close()
+
     def test_unknown_and_closed_rounds_keep_their_codes(self):
         gateway = start_gateway()
         try:

@@ -1,15 +1,19 @@
-"""Columnar decode path ≡ reference fallback, bit for bit.
+"""Columnar decode path ≡ in-process reference, bit for bit.
 
 The columnar hot path (engine workers summarise wire batches into
 ``O(domain)`` count vectors, :mod:`repro.service.columnar`) must be
-indistinguishable from the reference decode-then-ingest path in every
-observable: estimates, support counts, message transcripts, and exact
-wire-bit accounting.  This module pins that equivalence
+indistinguishable from the reference decode-then-ingest path
+(``AggregationServer.ingest``) in every observable: estimates, support
+counts, message transcripts, and exact wire-bit accounting.  This module
+pins that equivalence
 
 * in memory (``AggregationServer.ingest`` vs ``summarize`` +
   ``ingest_summary``), for every registered oracle,
-* over a **live TCP gateway** (``columnar_decode=True`` vs ``False``),
-  for every registered oracle, on the serial and thread decode backends.
+* over a **live TCP gateway** against an in-process
+  ``AggregationServer``, for every registered oracle, on the serial and
+  thread decode backends, through both networked round closes:
+  ``GatewayConnection.finalize`` and a one-shard
+  ``ClusterConnection.finalize``.
 
 CI runs this module as its own smoke step: a kernel regression that
 breaks bit-identity fails here first, with the oracle named.
@@ -20,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.ldp import available_oracles, make_oracle
 from repro.net import start_gateway
 from repro.net.client import RemoteAggregationServer
@@ -54,15 +59,13 @@ def _wire_batches(oracle_name: str) -> list[bytes]:
 
 
 def _assert_results_identical(reference, candidate):
-    np.testing.assert_array_equal(candidate.support_counts, reference.support_counts)
-    np.testing.assert_array_equal(
-        candidate.estimated_counts, reference.estimated_counts
-    )
-    np.testing.assert_array_equal(
-        candidate.estimated_frequencies, reference.estimated_frequencies
-    )
-    assert candidate.n_users == reference.n_users
-    assert candidate.metadata == reference.metadata
+    """Every :class:`~repro.ldp.base.EstimationResult` field, bit for bit."""
+    for name in ("support_counts", "estimated_counts", "estimated_frequencies"):
+        got, expected = getattr(candidate, name), getattr(reference, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+    for name in ("n_users", "domain_size", "oracle_name", "epsilon", "metadata"):
+        assert getattr(candidate, name) == getattr(reference, name), name
 
 
 def _transcript(server_or_remote):
@@ -129,43 +132,46 @@ def test_summary_counts_equal_decoded_support_counts(oracle_name):
 
 
 # --------------------------------------------------------------------------- #
-# Live gateway: columnar_decode=True ≡ columnar_decode=False
+# Live gateway ≡ in-process server, through every networked round close
 # --------------------------------------------------------------------------- #
-def _run_round_over(address: str, oracle_name: str):
+def _run_round_over(server, oracle_name: str):
+    """One fixed-seed round through anything with the server protocol."""
     oracle = make_oracle(oracle_name, epsilon=EPSILON)
-    remote = RemoteAggregationServer(address)
     try:
-        round_id = remote.open_round(
+        round_id = server.open_round(
             party="party-a", level=N_BITS, oracle=oracle, domain=_domain()
         )
         pool = ClientPool(_items(), name="party-a", batch_size=BATCH_SIZE)
         for batch in pool.iter_report_batches(oracle, _domain(), N_BITS, rng=17):
-            remote.ingest_batch(round_id, batch)
-        result = remote.finalize_round(round_id)
-        return result, _transcript(remote), remote.upload_bits(), remote.broadcast_bits()
+            server.ingest_batch(round_id, batch)
+        result = server.finalize_round(round_id)
+        return result, _transcript(server), server.upload_bits(), server.broadcast_bits()
     finally:
-        remote.shutdown()
+        server.shutdown()
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("oracle_name", available_oracles())
-def test_gateway_columnar_equals_fallback(oracle_name, backend):
+def test_gateway_columnar_equals_in_process(oracle_name, backend):
+    ref_result, ref_transcript, ref_up, ref_down = _run_round_over(
+        AggregationServer(), oracle_name
+    )
     workers = 2 if backend == "thread" else None
-    with start_gateway(
-        decode_backend=backend, decode_workers=workers, columnar_decode=False
-    ) as fallback:
-        ref_result, ref_transcript, ref_up, ref_down = _run_round_over(
-            fallback.address, oracle_name
-        )
-    with start_gateway(
-        decode_backend=backend, decode_workers=workers, columnar_decode=True
-    ) as columnar:
-        col_result, col_transcript, col_up, col_down = _run_round_over(
-            columnar.address, oracle_name
-        )
+    with start_gateway(decode_backend=backend, decode_workers=workers) as gateway:
+        # RemoteAggregationServer closes through GatewayConnection.finalize,
+        # a one-address ClusterCoordinator through ClusterConnection.finalize.
+        closes = {
+            "gateway": _run_round_over(
+                RemoteAggregationServer(gateway.address), oracle_name
+            ),
+            "cluster": _run_round_over(
+                ClusterCoordinator([gateway.address]), oracle_name
+            ),
+        }
 
-    _assert_results_identical(ref_result, col_result)
-    assert col_transcript == ref_transcript
-    # Exact wire bits: the columnar path changes what the *workers* do,
-    # never what crosses the network.
-    assert (col_up, col_down) == (ref_up, ref_down)
+    for close, (result, transcript, up, down) in closes.items():
+        _assert_results_identical(ref_result, result)
+        assert transcript == ref_transcript, close
+        # Exact wire bits: the columnar path changes what the gateway's
+        # *workers* do, never what crosses the network.
+        assert (up, down) == (ref_up, ref_down), close

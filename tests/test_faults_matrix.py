@@ -20,8 +20,8 @@ import pytest
 from repro.faults.profile import FaultProfile
 from repro.net import run_loadgen, start_gateway
 from repro.net.framing import (
-    FRAME_ESTIMATE,
     FRAME_REPORT_BATCH,
+    FRAME_SHARD_STATE,
     FrameError,
     WireFormatError,
 )
@@ -66,8 +66,9 @@ FAULT_PROFILES: dict[str, FaultProfile] = {
         kinds=(FRAME_REPORT_BATCH,), max_faults=1,
     ),
     "straggler": FaultProfile(
+        # A single gateway's round-close reply is its shard-state export.
         name="straggler", seed=14, straggle=1.0, straggle_ms=250.0,
-        direction="down", kinds=(FRAME_ESTIMATE,), max_faults=2,
+        direction="down", kinds=(FRAME_SHARD_STATE,), max_faults=2,
     ),
 }
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ldp.base import EstimationResult
 from repro.net import framing
 from repro.net.framing import (
     FRAME_ERROR,
@@ -38,6 +37,14 @@ class TestFrameHeader:
             framing.encode_frame(42, b"")
         with pytest.raises(FrameError, match="kind"):
             framing.check_frame_header(0, 42, max_frame_bytes=1024)
+
+    def test_retired_estimate_kind_is_unknown(self):
+        # Kind 5 carried a gateway-side estimate; rounds now close by
+        # shard-state export only, and the number stays unassigned.
+        assert 5 not in FRAME_KINDS
+        assert framing.FRAME_SHARD_STATE == 6 and framing.FRAME_STATS == 7
+        with pytest.raises(FrameError, match="kind"):
+            framing.check_frame_header(0, 5, max_frame_bytes=1024)
 
     def test_oversize_rejected_from_header_alone(self):
         with pytest.raises(OversizeFrameError, match="exceeds"):
@@ -112,56 +119,6 @@ class TestErrorMapping:
             framing.decode_error(framing.encode_control({"oops": 1}))
 
 
-def _estimate(domain_size: int = 9) -> EstimationResult:
-    gen = np.random.default_rng(3)
-    counts = gen.normal(size=domain_size)
-    # Deliberately awkward floats: exactness must survive the wire.
-    counts[0] = np.nextafter(1.0, 2.0)
-    counts[1] = -0.0
-    return EstimationResult(
-        support_counts=gen.integers(0, 50, size=domain_size),
-        estimated_counts=counts,
-        estimated_frequencies=counts / 17.0,
-        n_users=17,
-        domain_size=domain_size,
-        oracle_name="krr",
-        epsilon=3.5,
-        metadata={"execution": "service", "n_batches": 2, "upload_bits": 1234},
-    )
-
-
-class TestEstimateCodec:
-    def test_lossless_round_trip(self):
-        original = _estimate()
-        decoded = framing.decode_estimate(framing.encode_estimate(original))
-        np.testing.assert_array_equal(decoded.support_counts, original.support_counts)
-        assert decoded.estimated_counts.tobytes() == original.estimated_counts.tobytes()
-        assert (
-            decoded.estimated_frequencies.tobytes()
-            == original.estimated_frequencies.tobytes()
-        )
-        assert decoded.n_users == original.n_users
-        assert decoded.domain_size == original.domain_size
-        assert decoded.oracle_name == original.oracle_name
-        assert decoded.epsilon == original.epsilon
-        assert decoded.metadata == original.metadata
-
-    def test_estimate_frame_round_trip(self):
-        body = framing.encode_estimate_frame(11, _estimate())
-        round_id, decoded = framing.decode_estimate_frame(body)
-        assert round_id == 11 and decoded.n_users == 17
-
-    def test_truncations_raise_frame_errors(self):
-        data = framing.encode_estimate(_estimate())
-        for cut in (0, 2, 4, 7, 20, len(data) - 1):
-            with pytest.raises(FrameError):
-                framing.decode_estimate(data[:cut])
-
-    def test_bad_magic(self):
-        with pytest.raises(FrameError, match="magic"):
-            framing.decode_estimate(b"NOPE" + b"\x00" * 32)
-
-
 def _shard_state(domain_size: int = 13) -> ExportedShardState:
     gen = np.random.default_rng(7)
     return ExportedShardState(
@@ -173,6 +130,7 @@ def _shard_state(domain_size: int = 13) -> ExportedShardState:
         n_users=321,
         n_batches=6,
         upload_bits=98_765,
+        broadcast_bits=2_904,
         counts=gen.integers(0, 10_000, size=domain_size, dtype=np.int64),
     )
 
@@ -186,6 +144,7 @@ class TestShardStateCodec:
         for field_name in (
             "party", "level", "oracle_name", "epsilon",
             "domain_size", "n_users", "n_batches", "upload_bits",
+            "broadcast_bits",
         ):
             assert getattr(decoded, field_name) == getattr(original, field_name)
 

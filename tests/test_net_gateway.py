@@ -98,6 +98,44 @@ class TestRoundsOverTheWire:
         assert remote.oracle_name == "olh"
         assert remote.n_users == 300
 
+    def test_round_close_drains_the_gateway_transcript(self):
+        """Clients keep their own transcript; the gateway's embedded
+        server must not accumulate one for the life of the process."""
+        domain = CandidateDomain.full_domain(3)
+        with start_gateway() as handle:
+            server = handle.gateway.server
+            with GatewayConnection(handle.address) as connection:
+                connection.open_round(_broadcast(domain))
+                assert server.messages  # the open round is logged...
+                for seed in range(4):
+                    _stream_round(connection, domain, seed=seed)
+                # ...and each round close drains the whole log, that entry too.
+                assert server.messages == []
+                assert server.upload_bits() > 0  # running totals survive
+
+    def test_round_closed_by_another_connection_keeps_exact_metadata(self, gateway):
+        """Process-backend workers close rounds their parent's connection
+        opened: the export carries the round's broadcast size, so the
+        estimate metadata is exact whichever connection closes it."""
+        domain = CandidateDomain.full_domain(3)
+        oracle = make_oracle("krr", 4.0)
+        (batch,) = iter_perturbed_batches(
+            oracle, np.arange(8), domain.size, 0, batch_size=8, party="alpha", level=3
+        )
+        payload = encode_report_batch(batch)
+        with GatewayConnection(gateway.address) as opener:
+            round_id, bits = opener.open_round(_broadcast(domain))
+            opener.send_batch(round_id, payload)
+            opener.drain()
+            with GatewayConnection(gateway.address) as closer:
+                estimate = closer.finalize(round_id)
+        assert estimate.metadata == {
+            "execution": "service",
+            "n_batches": 1,
+            "upload_bits": wire_bits(payload),
+            "broadcast_bits": bits,
+        }
+
     def test_stats_expose_accounting(self, gateway):
         with GatewayConnection(gateway.address) as connection:
             stats = connection.stats()
@@ -112,7 +150,7 @@ class TestStructuredErrors:
         with GatewayConnection(gateway.address) as connection:
             connection._send(
                 framing.FRAME_ROUND_CONTROL,
-                framing.encode_control({"op": "finalize", "round_id": 999_999}),
+                framing.encode_control({"op": "export_shard", "round_id": 999_999}),
             )
             with pytest.raises(ServiceError) as excinfo:
                 connection._next_message()
@@ -152,7 +190,7 @@ class TestStructuredErrors:
             round_id, _, _ = _stream_round(connection, domain)
             connection._send(
                 framing.FRAME_ROUND_CONTROL,
-                framing.encode_control({"op": "finalize", "round_id": round_id}),
+                framing.encode_control({"op": "export_shard", "round_id": round_id}),
             )
             with pytest.raises(ServiceError) as excinfo:
                 connection._next_message()
@@ -204,6 +242,21 @@ class TestStructuredErrors:
             with pytest.raises(framing.FrameError, match="frobnicate"):
                 connection._next_message()
 
+    def test_retired_finalize_op_and_estimate_kind_are_refused(self, gateway):
+        """Rounds close by export only: the old gateway-side ``finalize``
+        op is an unknown control op, and kind 5 an unknown frame kind."""
+        with GatewayConnection(gateway.address) as connection:
+            connection._send(
+                framing.FRAME_ROUND_CONTROL,
+                framing.encode_control({"op": "finalize", "round_id": 0}),
+            )
+            with pytest.raises(framing.FrameError, match="unknown control op"):
+                connection._next_message()
+        with GatewayConnection(gateway.address) as connection:
+            connection._sock.sendall(struct.pack("<IB", 0, 5))
+            with pytest.raises(framing.FrameError, match="unknown frame kind 5"):
+                connection._next_message()
+
 
 class TestAdmissionControl:
     def test_oversize_frame_rejected_and_connection_closed(self):
@@ -243,16 +296,20 @@ class TestAdmissionControl:
                 assert isinstance(error, OversizeFrameError)
 
     def test_upload_bound_does_not_cap_gateway_responses(self):
-        """``max_frame_bytes`` bounds what clients upload; an estimate
-        frame (which scales with the domain, not the batch) may exceed it
-        and must still reach the client."""
-        with start_gateway(max_frame_bytes=4096) as handle:
-            # Level 8: the broadcast request (~2.9 kB) and every batch stay
-            # under the bound, the estimate frame (~6.3 kB) exceeds it.
-            domain = CandidateDomain.full_domain(8)
+        """``max_frame_bytes`` bounds what clients upload; a response (a
+        metrics document scales with the gateway's series, not the
+        batch) may exceed it and must still reach the client."""
+        with start_gateway(max_frame_bytes=1024) as handle:
+            # Level 3: the broadcast request (133 B), every batch and the
+            # shard-state reply stay under the bound; the metrics document
+            # exceeds it.
+            domain = CandidateDomain.full_domain(3)
             with GatewayConnection(handle.address) as connection:
                 _, _, estimate = _stream_round(connection, domain, n=120)
+                document = connection.metrics()
         assert estimate.domain_size == domain.size
+        assert len(framing.encode_metrics_frame(document)) > 1024
+        assert document["stats"]["max_frame_bytes"] == 1024
 
     def test_client_respects_small_credit_budgets(self):
         with start_gateway(connection_credits=1) as handle:
