@@ -86,20 +86,6 @@ def settings() -> ExperimentSettings:
 
 
 @pytest.fixture(scope="session")
-def calibration():
-    """This machine's price tag, measured once per benchmark session.
-
-    Every machine-readable perf artifact embeds it
-    (:class:`repro.perf.MachineCalibration`), so entries can be compared
-    across machines as work-normalized ratios — the contract the
-    ``repro bench gate`` trend checks are built on.
-    """
-    from repro.perf import calibrate
-
-    return calibrate()
-
-
-@pytest.fixture(scope="session")
 def save_report():
     """Persist a rendered report under benchmarks/results/ and echo it."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -6,20 +6,12 @@ repetition, using pytest-benchmark's default statistics:
 
 * one frequency-oracle round per oracle,
 * a full single-party PEM run,
-* a full TAPS run on the RDB stand-in,
-* serial vs. parallel sweep throughput through the execution engine
-  (persisted machine-readably to ``benchmarks/results/engine_speedup.json``
-  for the performance trajectory).
+* a full TAPS run on the RDB stand-in.
 
 They back the running-time columns of Table 4 with per-component numbers.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +20,7 @@ from repro.baselines.pem import SinglePartyPEM
 from repro.core.config import MechanismConfig
 from repro.core.taps import TAPSMechanism
 from repro.datasets.registry import load_dataset
-from repro.experiments.runner import ExperimentSettings, run_sweep
 from repro.ldp.registry import make_oracle
-from repro.perf.gate import ARTIFACT_SCHEMAS
 
 
 @pytest.fixture(scope="module")
@@ -69,128 +59,3 @@ def test_taps_end_to_end_run(benchmark, bench_dataset):
 
     result = benchmark(lambda: mechanism.run(bench_dataset, rng=0))
     assert len(result.heavy_hitters) == 10
-
-
-def _effective_cores() -> int:
-    """Cores actually usable by this process (honours CPU affinity masks)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def test_engine_sweep_speedup(calibration):
-    """Serial vs. parallel sweep throughput through the execution engine.
-
-    Runs the same small sweep grid on the serial and the process backend,
-    records both as entries of ``benchmarks/results/engine_speedup.json``
-    (schema: ``docs/reproducing.md``), each with a **work-normalized cost
-    ratio** — ``seconds x calibrated ops/sec / sweep cells`` — so the cost
-    of a sweep cell is comparable across machines without any further
-    normalization.  On machines with multiple usable cores the parallel
-    run must be at least ``REPRO_BENCH_SPEEDUP_MIN`` (default 1.5) times
-    faster; set it to ``0`` to record without asserting on
-    constrained/noisy runners.
-
-    On a single-core runner a "speedup" would only measure process-spawn
-    overhead, so the parallel entry records an explicit ``skipped_reason``
-    — but the serial entry still carries its calibrated cost ratio, so
-    even a 1-core runner contributes a comparable measurement to the perf
-    trajectory instead of a bare skip.
-    """
-    sweep_settings = ExperimentSettings(
-        scale="small",
-        repetitions=3,
-        granularity=6,
-        epsilons=(1.0, 4.0),
-        ks=(10,),
-        datasets=("rdb", "ycm"),
-        mechanisms=("fedpem", "taps"),
-        seed=2025,
-    )
-    parallel_workers = _effective_cores()
-
-    start = time.perf_counter()
-    serial = run_sweep(sweep_settings, backend="serial")
-    serial_seconds = time.perf_counter() - start
-    n_cells = len(serial.records)
-
-    entries = [
-        {
-            "measure": "serial_sweep",
-            "backend": "serial",
-            "n_cells": n_cells,
-            "seconds": round(serial_seconds, 4),
-            "cost_ratio": round(
-                calibration.normalized_cost(serial_seconds, n_cells), 4
-            ),
-        }
-    ]
-
-    speedup = records_identical = None
-    if parallel_workers < 2:
-        entries.append(
-            {
-                "measure": "parallel_sweep",
-                "skipped_reason": (
-                    f"speedup needs >=2 cores, runner has {parallel_workers}"
-                ),
-            }
-        )
-    else:
-        start = time.perf_counter()
-        parallel = run_sweep(
-            sweep_settings, backend="process", max_workers=parallel_workers
-        )
-        parallel_seconds = time.perf_counter() - start
-
-        def strip(records):
-            return [
-                {key: value for key, value in rec.items() if key != "runtime_seconds"}
-                for rec in records
-            ]
-
-        records_identical = strip(serial.records) == strip(parallel.records)
-        speedup = serial_seconds / max(parallel_seconds, 1e-9)
-        entries.append(
-            {
-                "measure": "parallel_sweep",
-                "backend": "process",
-                "n_cells": n_cells,
-                "seconds": round(parallel_seconds, 4),
-                "cost_ratio": round(
-                    calibration.normalized_cost(parallel_seconds, n_cells), 4
-                ),
-                "speedup": round(speedup, 4),
-                "records_identical": records_identical,
-            }
-        )
-
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / "engine_speedup.json"
-    # Warn-only trend vs the committed artifact; cost_ratio is already
-    # work-normalized, so the policy compares it raw (normalize=False).
-    trend = ARTIFACT_SCHEMAS["engine_speedup"].trend(
-        entries, path, calibration=calibration
-    )
-    for warning in trend.warnings:
-        print(f"\nWARNING (trend): {warning}")
-    payload = {
-        "cpu_count": os.cpu_count(),
-        "effective_cores": parallel_workers,
-        "entries": entries,
-        "trend": trend.to_dict(),
-        "calibration": calibration.to_dict(),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n===== engine_speedup =====\n{json.dumps(payload, indent=2)}\n")
-
-    assert entries[0]["cost_ratio"] > 0
-    if records_identical is not None:
-        assert records_identical, "parallel sweep must reproduce the serial records"
-        minimum = float(os.environ.get("REPRO_BENCH_SPEEDUP_MIN", "1.5"))
-        if minimum > 0:
-            assert speedup > minimum, (
-                f"expected >{minimum}x speedup on multi-core, got {speedup:.2f}x"
-            )

@@ -14,8 +14,7 @@ Three acts:
    transport, never semantics.
 2. **Load generation** — :func:`repro.net.run_loadgen` drives concurrent
    client pools against the gateway and reports throughput plus batch
-   latency percentiles (the `benchmarks/test_bench_net_throughput.py`
-   measurement, at example scale).
+   latency percentiles.
 3. **Backpressure on display** — the same load through a deliberately
    tiny credit budget: everything still completes, just slower, because
    clients block on acknowledgements instead of overwhelming the server.

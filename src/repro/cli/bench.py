@@ -14,11 +14,8 @@ Two modes per target (``table2`` … ``table8``, ``figure4`` … ``figure7``):
 ``repro bench pivot --from sweep.json --rows dataset --cols mechanism
 --value f1`` re-renders arbitrary persisted records as an ad-hoc pivot.
 
-``repro bench gate`` is the perf gate (:mod:`repro.perf.gate`): validate
-every committed ``benchmarks/results/*.json`` against its golden schema,
-re-check the embedded calibrated trend reports, and exit non-zero on any
-``fail``.  ``--selftest`` additionally injects a synthetic 2× slowdown
-per artifact and fails unless the gate catches every one.
+This command reproduces the paper's results; it times nothing.  Speed is
+measured by ``python3 perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -199,9 +196,8 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "target", nargs="?", choices=sorted(TARGETS) + ["gate", "pivot"],
-        help="table/figure to render, 'pivot' for an ad-hoc re-render, or "
-             "'gate' for the perf gate over committed benchmark artifacts",
+        "target", nargs="?", choices=sorted(TARGETS) + ["pivot"],
+        help="table/figure to render, or 'pivot' for an ad-hoc re-render",
     )
     parser.add_argument("--list", action="store_true", dest="list_targets",
                         help="list the available targets and exit")
@@ -222,11 +218,6 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
     parser.add_argument("--rows", default="dataset", help="pivot row key (pivot mode)")
     parser.add_argument("--cols", default="mechanism", help="pivot column key (pivot mode)")
     parser.add_argument("--value", default="f1", help="pivot value key (pivot mode)")
-    parser.add_argument("--results", default="benchmarks/results",
-                        help="artifact directory the gate checks (gate mode)")
-    parser.add_argument("--selftest", action="store_true",
-                        help="gate mode: also inject a synthetic 2x slowdown "
-                             "per artifact and fail unless every one is caught")
     parser.set_defaults(handler=cmd)
     return parser
 
@@ -307,19 +298,6 @@ def load_records(path: str | Path) -> list[dict]:
     )
 
 
-def _cmd_gate(args: argparse.Namespace) -> int:
-    """The perf gate: schema + trend enforcement, exit 1 on any fail."""
-    from repro.perf.gate import run_gate, run_selftest
-
-    report = run_gate(args.results)
-    if args.selftest:
-        report.selftest = run_selftest(args.results)
-    print(report.render())
-    if args.output is not None:
-        emit_json(report.to_dict(), Path(args.output) / "gate_report.json")
-    return report.exit_code
-
-
 def cmd(args: argparse.Namespace) -> int:
     if args.list_targets:
         for name in sorted(TARGETS):
@@ -327,9 +305,6 @@ def cmd(args: argparse.Namespace) -> int:
         return 0
     if args.target is None:
         raise CLIError("no target given (use --list to see the choices)")
-
-    if args.target == "gate":
-        return _cmd_gate(args)
 
     if args.target == "pivot":
         if args.from_file is None:

@@ -57,7 +57,6 @@ _FLAG_PARAMS: tuple[tuple[str, str, object], ...] = (
     ("rng", "seed", 0),
     ("retries", "retries", 0),
     ("timeout", "timeout", 120.0),
-    ("adaptive", "adaptive", None),
     ("telemetry", "telemetry", False),
     ("trace_log", "trace_log", None),
 )
@@ -119,12 +118,6 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
         help="per-round retry budget for fault-shaped failures; a round "
              "that fails is replayed from its own seed on a fresh "
              "connection (default: 0)",
-    )
-    parser.add_argument(
-        "--adaptive", action="store_const", const=True, default=None,
-        help="let an adaptive latency controller re-pick the batch size "
-             "per round from observed p50/p95 (default config; a spec's "
-             "load.adaptive block can carry tuned controller fields)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None,

@@ -347,7 +347,6 @@ LOADGEN_LOAD_KEYS: tuple[str, ...] = (
     "seed",
     "retries",
     "timeout",
-    "adaptive",
     "telemetry",
     "trace_log",
 )
@@ -438,16 +437,6 @@ class LoadgenSpec:
         gateway = _section("gateway", LOADGEN_GATEWAY_KEYS)
         workload = _section("workload", LOADGEN_WORKLOAD_KEYS)
         load = _section("load", LOADGEN_LOAD_KEYS)
-        if load.get("adaptive") is not None:
-            # Validate eagerly (bad controller configs must fail at spec
-            # load, not mid-run); the raw document value stays in ``load``
-            # so to_dict round-trips and run_loadgen re-resolves it.
-            from repro.perf.controller import resolve_adaptive
-
-            try:
-                resolve_adaptive(load["adaptive"], source=source)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from exc
         scenario = None
         scenario_data = workload.pop("scenario", None)
         if scenario_data is not None:

@@ -41,7 +41,6 @@ from repro.obs.registry import (
     merge_snapshots,
 )
 from repro.obs.trace import Tracer
-from repro.perf.controller import AdaptiveController, ControllerConfig, resolve_adaptive
 from repro.service.clients import ClientPool
 from repro.service.protocol import RoundBroadcast, encode_report_batch, wire_bits
 from repro.service.server import ServiceError
@@ -76,7 +75,6 @@ class _PoolTask:
     ring_seed: int = 0
     ring_vnodes: int | None = None
     retries: int = 0
-    adaptive: ControllerConfig | None = None
     telemetry: bool = False
     trace: bool = False
 
@@ -158,11 +156,6 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
     n_retries = 0
     latencies: list[float] = []
     top_prefixes: list[list] = []
-    controller = (
-        AdaptiveController(task.adaptive, initial_batch_size=task.batch_size)
-        if task.adaptive is not None
-        else None
-    )
     # Telemetry/tracing live for the whole pool run — reconnects after a
     # fault keep accumulating into the same registry and span list, which
     # both ship back to the parent as plain picklable dicts.
@@ -182,12 +175,6 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
     connection = _open()
     try:
         for round_seed in round_seeds:
-            if controller is not None:
-                # The controller owns the batch size from here on; the pool
-                # re-reads it at iteration time, so this round streams at
-                # whatever the last decision picked.
-                pool.batch_size = controller.batch_size
-            observed_before = len(latencies) + len(connection.latencies)
             for attempt in range(int(task.retries) + 1):
                 try:
                     stats = _run_round(task, pool, domain, connection, round_seed)
@@ -211,13 +198,6 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
             upload_bits += stats["upload_bits"]
             broadcast_bits += stats["broadcast_bits"]
             top_prefixes = stats["top_prefixes"]
-            if controller is not None:
-                # Feed the controller exactly this round's send→ack
-                # latencies (including any failed attempts — those were
-                # real round trips) and let it pick the next round's knobs.
-                observed = latencies + list(connection.latencies)
-                controller.observe_many(observed[observed_before:])
-                controller.end_round()
         latencies.extend(connection.latencies)
     finally:
         connection.close()
@@ -232,8 +212,6 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
         "top_prefixes": top_prefixes,
         "n_retries": n_retries,
     }
-    if controller is not None:
-        result["controller"] = controller.trace()
     if telemetry is not None:
         result["telemetry"] = telemetry.snapshot()
     if tracer is not None:
@@ -272,7 +250,6 @@ class LoadgenReport:
     retries: int = 0
     n_retries: int = 0
     faults: dict | None = None
-    adaptive: dict | None = None
     telemetry: dict | None = None
     trace_log: str | None = None
 
@@ -295,10 +272,6 @@ class LoadgenReport:
             if self.retries == 0 and self.n_retries == 0:
                 del out["retries"]
                 del out["n_retries"]
-        # Same contract for the adaptive controller: non-adaptive reports
-        # stay byte-identical to those written before it existed.
-        if self.adaptive is None:
-            del out["adaptive"]
         # And for the observability layer: telemetry-off reports carry
         # neither field and stay byte-identical to pre-telemetry reports.
         if self.telemetry is None:
@@ -374,7 +347,6 @@ def run_loadgen(
     ring_vnodes: int | None = None,
     faults=None,
     retries: int = 0,
-    adaptive=None,
     telemetry: bool = False,
     trace_log=None,
 ) -> LoadgenReport:
@@ -425,15 +397,6 @@ def run_loadgen(
         (:data:`RETRYABLE_ERRORS`): a failed round is replayed from its
         own seed on a fresh connection, so a run that converges within
         the budget is bit-identical to a fault-free run.
-    adaptive:
-        Opt-in latency feedback: ``True`` for the default
-        :class:`~repro.perf.controller.ControllerConfig`, or a config /
-        mapping of its fields.  Each connection then runs its own
-        :class:`~repro.perf.controller.AdaptiveController` — starting
-        from ``batch_size`` — that re-picks the batch size from the
-        observed p50/p95 after every round; the per-connection decision
-        trace lands under ``per_connection[i]["controller"]``.  Off by
-        default: fixed-knob runs stay bit-identical to earlier releases.
     telemetry:
         Collect an :mod:`repro.obs` metrics picture of the run: every
         worker's coordinator registry and every fault proxy's action
@@ -454,7 +417,6 @@ def run_loadgen(
     check_positive("retries", retries, strict=False)
     if users_per_round is not None:
         check_positive("users_per_round", users_per_round)
-    adaptive_config = resolve_adaptive(adaptive, source="<loadgen adaptive>")
     gen = as_generator(seed)
 
     if scenario is not None:
@@ -530,7 +492,6 @@ def run_loadgen(
             ring_seed=int(ring_seed),
             ring_vnodes=ring_vnodes,
             retries=int(retries),
-            adaptive=adaptive_config,
             telemetry=bool(telemetry),
             trace=trace_log is not None,
         )
@@ -616,7 +577,6 @@ def run_loadgen(
         retries=int(retries),
         n_retries=sum(r.get("n_retries", 0) for r in results),
         faults=faults_summary,
-        adaptive=adaptive_config.to_dict() if adaptive_config is not None else None,
         telemetry=telemetry_doc,
         trace_log=None if trace_log is None else str(trace_log),
     )

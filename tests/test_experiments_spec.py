@@ -284,6 +284,11 @@ class TestLoadgenSpec:
             LoadgenSpec.from_dict(bad, source="bad.yaml")
         with pytest.raises(SpecError, match="wurkload"):
             LoadgenSpec.from_dict({"wurkload": {}}, source="bad.yaml")
+        # `load.adaptive` is not a key: a spec that sets it fails loudly
+        # instead of running at the fixed batch size without saying so.
+        stale = {**LOADGEN_DICT, "load": {"adaptive": {"target_p95_ms": 25.0}}}
+        with pytest.raises(SpecError, match="unknown.*'adaptive'"):
+            LoadgenSpec.from_dict(stale, source="stale.yaml")
 
     @pytest.mark.parametrize("bad_section", [[], False, ""])
     def test_falsy_non_mapping_sections_are_rejected(self, bad_section):
@@ -333,31 +338,6 @@ class TestLoadgenSpec:
         assert isinstance(spec.scenario, ScenarioSpec)
         assert spec.loadgen_kwargs()["scenario"] is spec.scenario
         assert LoadgenSpec.from_dict(spec.to_dict()) == spec
-
-    def test_adaptive_block_validates_and_flows_through(self):
-        doc = {
-            **LOADGEN_DICT,
-            "load": {"connections": 2, "adaptive": {"target_p95_ms": 25.0}},
-        }
-        spec = LoadgenSpec.from_dict(doc)
-        assert spec.loadgen_kwargs()["adaptive"] == {"target_p95_ms": 25.0}
-        assert LoadgenSpec.from_dict(spec.to_dict()) == spec
-        # `adaptive: true` is the default-config shorthand.
-        spec = LoadgenSpec.from_dict({**LOADGEN_DICT, "load": {"adaptive": True}})
-        assert spec.loadgen_kwargs()["adaptive"] is True
-
-    def test_adaptive_block_rejects_bad_configs_at_load(self):
-        with pytest.raises(SpecError, match="unknown"):
-            LoadgenSpec.from_dict(
-                {**LOADGEN_DICT, "load": {"adaptive": {"bogus_knob": 1}}},
-                source="bad.yaml",
-            )
-        with pytest.raises(SpecError, match="target_p95_ms"):
-            LoadgenSpec.from_dict(
-                {**LOADGEN_DICT, "load": {"adaptive": {"target_p95_ms": -1}}}
-            )
-        with pytest.raises(SpecError, match="adaptive"):
-            LoadgenSpec.from_dict({**LOADGEN_DICT, "load": {"adaptive": "turbo"}})
 
     def test_fingerprint_tracks_content(self):
         spec = LoadgenSpec.from_dict(LOADGEN_DICT)

@@ -54,6 +54,9 @@ class TestRoundFinalization:
             streamed.estimated_frequencies, direct.estimated_frequencies
         )
         assert streamed.n_users == direct.n_users
+        # Server state is O(domain): one 64-bit counter per candidate.
+        assert streamed.support_counts.dtype == np.int64
+        assert streamed.support_counts.nbytes == domain.size * 8
 
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_batched_streaming_equals_batched_in_memory(self, oracle_name):
@@ -295,15 +298,22 @@ class TestClientPool:
 
     def test_bounded_batches_cover_all_users(self, two_party_dataset):
         pool = ClientPool.from_dataset(two_party_dataset, batch_size=128)
-        oracle = make_oracle("krr", epsilon=4.0)
         domain = _domain(4)
-        batches = list(
-            pool.iter_report_batches(
-                oracle, domain, two_party_dataset.n_bits, rng=0
+        for oracle_name in available_oracles():
+            oracle = make_oracle(oracle_name, epsilon=4.0)
+            batches = list(
+                pool.iter_report_batches(
+                    oracle, domain, two_party_dataset.n_bits, rng=0
+                )
             )
-        )
-        assert all(b.n_users <= 128 for b in batches)
-        assert sum(b.n_users for b in batches) == pool.n_users
+            assert all(b.n_users <= 128 for b in batches)
+            assert sum(b.n_users for b in batches) == pool.n_users
+            # The report buffer is bounded by one batch, not the population
+            # (a dense unary bit matrix, the widest form, is batch × domain).
+            for batch in batches:
+                reports = batch.reports
+                parts = reports if isinstance(reports, tuple) else (reports,)
+                assert sum(part.nbytes for part in parts) <= 128 * (domain.size + 16)
 
     def test_draw_users_for_load_generation(self, two_party_dataset):
         pool = ClientPool.from_dataset(two_party_dataset)
