@@ -343,6 +343,18 @@ class TestBench:
         out = capsys.readouterr().out
         assert "table3" in out and "figure7" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "gate"], ["bench", "--selftest"], ["bench", "table2", "--results", "x"]],
+    )
+    def test_bench_times_nothing(self, argv, capsys):
+        # `repro bench` only reproduces tables and figures; a speed-gate
+        # invocation is a usage error, not a silent no-op.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_compute_persist_and_rerender(self, tmp_path, capsys):
         assert main(["bench", "table8", "--smoke", "-o", str(tmp_path)]) == 0
         computed = capsys.readouterr().out

@@ -125,10 +125,7 @@ class TestClusterVsSingleGateway:
     def test_scenario_replay_workload_is_identical(self, shard_pool):
         """One scenario-replay loadgen workload: same seed, same scenario,
         driven once at a single gateway and once at a 2-shard cluster —
-        every deterministic measurement must agree.  A sampled dataset
-        stream over two concurrent connections must agree the same way:
-        routing is transport, so the wire bytes cannot depend on the
-        shard count."""
+        every deterministic measurement must agree."""
         from repro.net.loadgen import run_loadgen
         from repro.scenarios.spec import ScenarioSpec
 
@@ -146,36 +143,46 @@ class TestClusterVsSingleGateway:
                              "duration": 2}],
             }
         )
-        scenario_kwargs = dict(
+        kwargs = dict(
             scenario=scenario, connections=1, rounds=2, oracle="krr",
             epsilon=4.0, level=5, batch_size=128, backend="serial", seed=9,
+            include_gateway_stats=False,
         )
-        dataset_kwargs = dict(
+        single = run_loadgen(shard_pool[0].address, **kwargs)
+        cluster = run_loadgen(_cluster_address(shard_pool, 2), **kwargs)
+        assert cluster.shards == 2 and single.shards == 1
+        for field_name in ("n_reports", "n_batches", "upload_bits", "broadcast_bits"):
+            assert getattr(cluster, field_name) == getattr(single, field_name)
+        assert [e["top_prefixes"] for e in cluster.per_connection] == [
+            e["top_prefixes"] for e in single.per_connection
+        ]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_dataset_stream_does_not_depend_on_shard_count(
+        self, n_shards, backend, shard_pool
+    ):
+        """A sampled dataset stream over two concurrent connections: routing
+        is transport, so totals and wire bytes cannot depend on the shard
+        count, and every connection streams its full sample each round."""
+        from repro.net.loadgen import run_loadgen
+
+        kwargs = dict(
             dataset="rdb", scale="tiny", connections=2, rounds=2,
-            users_per_round=300, level=5, batch_size=128, backend="thread",
-            max_workers=2, seed=0,
+            users_per_round=300, level=5, batch_size=128, backend=backend,
+            max_workers=2, seed=0, include_gateway_stats=False,
         )
-        for kwargs in (scenario_kwargs, dataset_kwargs):
-            single = run_loadgen(
-                shard_pool[0].address, include_gateway_stats=False, **kwargs
-            )
-            cluster = run_loadgen(
-                _cluster_address(shard_pool, 2), include_gateway_stats=False,
-                **kwargs,
-            )
-            assert cluster.shards == 2 and single.shards == 1
-            for field_name in (
-                "n_reports", "n_batches", "upload_bits", "broadcast_bits"
-            ):
-                assert getattr(cluster, field_name) == getattr(single, field_name)
-            assert [e["top_prefixes"] for e in cluster.per_connection] == [
-                e["top_prefixes"] for e in single.per_connection
-            ]
-            latency = cluster.latency_ms
-            assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
-        # In the dataset run (the last one), every connection streams its
-        # full sample each round.
+        single = run_loadgen(shard_pool[0].address, **kwargs)
+        cluster = run_loadgen(_cluster_address(shard_pool, n_shards), **kwargs)
+        assert cluster.shards == n_shards and single.shards == 1
+        for field_name in ("n_reports", "n_batches", "upload_bits", "broadcast_bits"):
+            assert getattr(cluster, field_name) == getattr(single, field_name)
+        assert [e["top_prefixes"] for e in cluster.per_connection] == [
+            e["top_prefixes"] for e in single.per_connection
+        ]
         assert cluster.n_reports == 2 * 2 * 300
+        latency = cluster.latency_ms
+        assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
 
 
 def _open_test_round(connection, *, level: int = 4, party: str = "alpha"):

@@ -290,6 +290,20 @@ class TestLoadgenSpec:
         with pytest.raises(SpecError, match="unknown.*'adaptive'"):
             LoadgenSpec.from_dict(stale, source="stale.yaml")
 
+    @pytest.mark.parametrize("section", ["gateway", "workload", "load", "cluster"])
+    def test_every_section_names_its_unknown_key(self, section):
+        doc = {**LOADGEN_DICT, section: {**LOADGEN_DICT.get(section, {}), "typo": 1}}
+        with pytest.raises(SpecError, match=rf"stale\.yaml.*{section}.*'typo'"):
+            LoadgenSpec.from_dict(doc, source="stale.yaml")
+
+    @pytest.mark.parametrize("form", [True, {}, "turbo"])
+    def test_every_form_of_the_adaptive_block_fails_loudly(self, form):
+        # `adaptive: true` was the default-config shorthand and `{}` an
+        # empty config; neither may now run silently at the fixed batch size.
+        stale = {**LOADGEN_DICT, "load": {"connections": 2, "adaptive": form}}
+        with pytest.raises(SpecError, match="unknown.*'adaptive'"):
+            LoadgenSpec.from_dict(stale, source="stale.yaml")
+
     @pytest.mark.parametrize("bad_section", [[], False, ""])
     def test_falsy_non_mapping_sections_are_rejected(self, bad_section):
         # `load: []` must not silently drop the operator's configuration.

@@ -102,6 +102,70 @@ class TestDatasetWorkloads:
         assert payload["gateway"]["upload_bits"] > 0
         assert "reports/s" in report.render()
 
+    @pytest.mark.parametrize("connections", [1, 2, 4])
+    @pytest.mark.parametrize("oracle", ["krr", "olh", "oue", "sue"])
+    def test_every_connection_streams_its_full_sample(
+        self, gateway, oracle, connections
+    ):
+        report = run_loadgen(
+            gateway.address, dataset="rdb", scale="tiny", level=4,
+            oracle=oracle, connections=connections, rounds=2,
+            users_per_round=300, batch_size=128, backend="thread",
+            max_workers=2, seed=0,
+        )
+        assert report.n_reports == connections * 2 * 300
+        # Each (connection, round) slices its 300 users into 128-report batches.
+        assert report.n_batches == connections * 2 * 3
+        assert report.latency_ms["count"] == report.n_batches
+        latency = report.latency_ms
+        assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+        assert report.upload_bits > 0 and report.broadcast_bits > 0
+
+    @pytest.mark.parametrize("batch_size", [64, 256, 1024])
+    def test_batch_size_reslices_the_stream_without_changing_it(
+        self, gateway, batch_size
+    ):
+        """Batches only slice a round's reports: the report count and the
+        broadcast bytes are the same at any batch size."""
+        kwargs = dict(dataset="rdb", scale="tiny", dataset_seed=0, level=4,
+                      connections=1, rounds=2, backend="serial", seed=5)
+        reference = run_loadgen(gateway.address, batch_size=128, **kwargs)
+        report = run_loadgen(gateway.address, batch_size=batch_size, **kwargs)
+        assert report.n_reports == reference.n_reports
+        assert report.broadcast_bits == reference.broadcast_bits
+        (entry,) = report.per_connection
+        assert report.n_batches == 2 * -(-entry["n_users"] // batch_size)
+
+    @pytest.mark.parametrize("workload", ["dataset", "scenario"])
+    def test_report_keys_are_pinned(self, gateway, workload):
+        source = (
+            {"dataset": "rdb", "scale": "tiny"} if workload == "dataset"
+            else {"scenario": _tiny_scenario()}
+        )
+        payload = run_loadgen(
+            gateway.address, level=4, connections=1, backend="serial", seed=0,
+            **source,
+        ).to_dict()
+        assert sorted(payload) == [
+            "address", "backend", "batch_size", "broadcast_bits", "connections",
+            "elapsed_seconds", "epsilon", "gateway", "latency_ms", "level",
+            "n_batches", "n_reports", "oracle", "per_connection",
+            "reports_per_sec", "rounds", "shards", "upload_bits", "workload",
+        ]
+        assert sorted(payload["per_connection"][0]) == [
+            "broadcast_bits", "n_batches", "n_reports", "n_users", "pool",
+            "top_prefixes", "upload_bits",
+        ]
+
+    def test_batch_size_is_a_fixed_argument(self, gateway):
+        # The report slicing is set by `batch_size` alone; there is no
+        # controller argument that would re-slice it between rounds.
+        with pytest.raises(TypeError, match="adaptive"):
+            run_loadgen(
+                gateway.address, dataset="rdb", scale="tiny",
+                connections=1, backend="serial", adaptive=True,
+            )
+
 
 class TestScenarioReplay:
     def test_each_connection_replays_the_arrival_stream(self, gateway):
@@ -114,6 +178,21 @@ class TestScenarioReplay:
         assert report.n_reports == 2 * 4 * 200
         assert report.workload == "scenario:loadgen-replay"
         assert report.level == 6  # capped at the scenario's 8 bits, not below
+
+    @pytest.mark.parametrize("connections", [1, 2, 3])
+    def test_replay_totals_scale_with_connections(self, gateway, connections):
+        report = run_loadgen(
+            gateway.address, scenario=_tiny_scenario(), level=5,
+            batch_size=128, connections=connections, backend="thread",
+            max_workers=2, seed=4,
+        )
+        assert report.n_reports == connections * 4 * 200
+        assert [entry["n_reports"] for entry in report.per_connection] == [
+            4 * 200
+        ] * connections
+        latency = report.latency_ms
+        assert latency["count"] == report.n_batches
+        assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
 
     def test_scenario_replay_is_seed_deterministic(self, gateway):
         spec = _tiny_scenario()

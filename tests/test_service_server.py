@@ -54,9 +54,6 @@ class TestRoundFinalization:
             streamed.estimated_frequencies, direct.estimated_frequencies
         )
         assert streamed.n_users == direct.n_users
-        # Server state is O(domain): one 64-bit counter per candidate.
-        assert streamed.support_counts.dtype == np.int64
-        assert streamed.support_counts.nbytes == domain.size * 8
 
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_batched_streaming_equals_batched_in_memory(self, oracle_name):
@@ -298,28 +295,59 @@ class TestClientPool:
 
     def test_bounded_batches_cover_all_users(self, two_party_dataset):
         pool = ClientPool.from_dataset(two_party_dataset, batch_size=128)
+        oracle = make_oracle("krr", epsilon=4.0)
         domain = _domain(4)
-        for oracle_name in available_oracles():
-            oracle = make_oracle(oracle_name, epsilon=4.0)
-            batches = list(
-                pool.iter_report_batches(
-                    oracle, domain, two_party_dataset.n_bits, rng=0
-                )
+        batches = list(
+            pool.iter_report_batches(
+                oracle, domain, two_party_dataset.n_bits, rng=0
             )
-            assert all(b.n_users <= 128 for b in batches)
-            assert sum(b.n_users for b in batches) == pool.n_users
-            # The report buffer is bounded by one batch, not the population
-            # (a dense unary bit matrix, the widest form, is batch × domain).
-            for batch in batches:
-                reports = batch.reports
-                parts = reports if isinstance(reports, tuple) else (reports,)
-                assert sum(part.nbytes for part in parts) <= 128 * (domain.size + 16)
+        )
+        assert all(b.n_users <= 128 for b in batches)
+        assert sum(b.n_users for b in batches) == pool.n_users
 
     def test_draw_users_for_load_generation(self, two_party_dataset):
         pool = ClientPool.from_dataset(two_party_dataset)
         users = pool.draw_users(1000, rng=3)
         assert users.shape == (1000,)
         assert users.min() >= 0 and users.max() < pool.n_users
+
+
+class TestMemoryModel:
+    """The service memory model: the report buffer is bounded by one batch,
+    the server state by the domain, and the wire total is exact."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000, 4096])
+    @pytest.mark.parametrize("oracle_name", available_oracles())
+    def test_stream_memory_model(self, oracle_name, batch_size):
+        n_users, bits = 1000, 6
+        oracle = make_oracle(oracle_name, epsilon=4.0)
+        domain = CandidateDomain.full_domain(bits, include_dummy=True)
+        items = np.random.default_rng(0).integers(0, 1 << bits, size=n_users)
+        pool = ClientPool(items, name="stream", batch_size=batch_size)
+        server = AggregationServer()
+        round_id = server.open_round(
+            party="stream", level=bits, oracle=oracle, domain=domain
+        )
+        n_batches = wire_bytes = 0
+        for batch in pool.iter_report_batches(oracle, domain, bits, rng=1):
+            reports = batch.reports
+            parts = reports if isinstance(reports, tuple) else (reports,)
+            # A dense unary bit matrix, the widest form, is batch × domain.
+            assert sum(part.nbytes for part in parts) <= min(
+                batch_size, n_users
+            ) * (domain.size + 16)
+            payload = encode_report_batch(batch)
+            wire_bytes += len(payload)
+            n_batches += 1
+            server.ingest(round_id, payload)
+        result = server.finalize_round(round_id)
+
+        assert result.n_users == n_users
+        assert n_batches == -(-n_users // batch_size)
+        # Server state is O(domain): one 64-bit counter per candidate.
+        assert result.support_counts.dtype == np.int64
+        assert result.support_counts.nbytes == domain.size * 8
+        assert server.upload_bits() == 8 * wire_bytes
 
 
 class TestRunInServiceMode:
