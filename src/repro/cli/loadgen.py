@@ -178,9 +178,9 @@ def _resolve_params(args: argparse.Namespace, spec) -> dict:
 
 
 def cmd(args: argparse.Namespace) -> int:
+    from repro.cluster.coordinator import ClusterConnection
     from repro.experiments.spec import SpecError, load_loadgen_spec, load_scenario_spec
     from repro.net import run_loadgen, start_gateway
-    from repro.net.client import GatewayConnection
     from repro.service.server import ServiceError
 
     spec = None
@@ -244,28 +244,20 @@ def cmd(args: argparse.Namespace) -> int:
             raise CLIError(str(exc)) from exc
         if args.shutdown and args.connect is not None:
             try:
-                if "," in address:
-                    from repro.cluster.coordinator import ClusterConnection
-
-                    with ClusterConnection(
-                        address,
-                        ring_seed=params.get("ring_seed", 0),
-                        n_vnodes=params.get("ring_vnodes"),
-                    ) as cluster_connection:
-                        cluster_connection.shutdown_cluster()
-                else:
-                    with GatewayConnection(address) as connection:
-                        connection.shutdown_gateway()
-            except (ConnectionError, OSError):
-                pass  # gateway already gone — the goal state
+                with ClusterConnection(address) as connection:
+                    connection.shutdown_cluster()
             except Exception as exc:  # noqa: BLE001 - refusal/odd reply
-                # A refused shutdown must not discard the completed
-                # measurement: warn and fall through to the report.
-                from repro.obs.logs import get_logger
+                # A gateway already gone is the goal state.  A refused
+                # shutdown must not discard the completed measurement:
+                # warn and fall through to the report.
+                if not (
+                    isinstance(exc, ServiceError) and exc.code == "shard_unavailable"
+                ):
+                    from repro.obs.logs import get_logger
 
-                get_logger("repro.cli.loadgen").warning(
-                    f"repro: warning: gateway did not shut down: {exc}"
-                )
+                    get_logger("repro.cli.loadgen").warning(
+                        f"repro: warning: gateway did not shut down: {exc}"
+                    )
     finally:
         if handle is not None:
             handle.close()

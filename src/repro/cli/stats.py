@@ -4,8 +4,11 @@
 document (the wire protocol's ``metrics`` control op, answered with a
 ``FRAME_STATS`` frame), schema-validates it, and prints a human summary;
 ``--json`` / ``-o FILE`` emit the raw document instead.  A
-comma-separated address scrapes a whole cluster: the coordinator's own
-registry plus every shard's document, each validated.
+comma-separated address scrapes a whole cluster.  Either way the
+document is the cluster one (``source: "cluster"``): the coordinator's
+own registry plus every shard's document under ``shards`` — a single
+gateway is a one-shard cluster, its document ``shards[0]`` — each
+validated.
 
 Scraping is read-only and safe mid-round: the gateway serialises the
 snapshot through the same single-worker accumulator that applies batches,
@@ -70,21 +73,15 @@ def _render_document(document: dict, *, indent: str = "") -> list[str]:
 
 
 def cmd(args: argparse.Namespace) -> int:
-    from repro.net.client import GatewayConnection
+    from repro.cluster.coordinator import ClusterConnection
     from repro.obs.registry import validate_metrics_document
     from repro.service.server import ServiceError
 
     address = str(args.address)
     try:
-        if "," in address:
-            from repro.cluster.coordinator import ClusterConnection
-
-            with ClusterConnection(address, timeout=args.timeout) as conn:
-                document = conn.metrics()
-        else:
-            with GatewayConnection(address, timeout=args.timeout) as conn:
-                document = conn.metrics()
-    except (OSError, EOFError, ServiceError) as exc:
+        with ClusterConnection(address, timeout=args.timeout) as conn:
+            document = conn.metrics()
+    except ServiceError as exc:
         raise CLIError(f"cannot scrape {address}: {exc}") from exc
 
     try:

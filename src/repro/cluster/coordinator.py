@@ -1,42 +1,46 @@
 """Cluster coordinator: consistent-hash routing and the round-close barrier.
 
-Two layers, mirroring :mod:`repro.net.client`:
+Every networked client path runs through this module; a single gateway
+address is a one-shard cluster.  Two layers:
 
-* :class:`ClusterConnection` — the :class:`~repro.net.client.GatewayConnection`
-  of a *cluster*: one logical round fans out into a physical sub-round on
-  every shard gateway, report batches route to the shard the
-  :class:`~repro.cluster.ring.HashRing` assigns them, and
+* :class:`ClusterConnection` — one logical round fans out into a
+  physical sub-round on every shard gateway (each reached over its own
+  :class:`~repro.net.client.GatewayConnection`), report batches route to
+  the shard the :class:`~repro.cluster.ring.HashRing` assigns them, and
   :meth:`ClusterConnection.finalize` runs the round-close **barrier** —
   drain every shard, collect each shard's raw
   :class:`~repro.service.server.ExportedShardState`, validate them against
   the logical round, then merge the exact int64 counts and estimate
-  **once** via :func:`~repro.service.server.estimate_exported` — the
-  same close a single :class:`~repro.net.client.GatewayConnection` runs
-  on its one exported state.
-* :class:`ClusterCoordinator` — the
-  :class:`~repro.net.client.RemoteAggregationServer` of a cluster: the
-  same server protocol (``open_round`` / ``ingest_batch`` /
-  ``finalize_round`` / ``drain_messages`` / ``shutdown``), so
+  **once** via :func:`~repro.service.server.estimate_exported`.
+* :class:`ClusterCoordinator` — the aggregation-server protocol
+  (``open_round`` / ``ingest_batch`` / ``finalize_round`` /
+  ``drain_messages`` / ``shutdown``) over a :class:`ClusterConnection`,
+  with the exact wire-bit message log kept client-side, so
   :class:`~repro.service.server.ServiceRoundRunner` and every mechanism
-  run over an N-shard cluster unchanged.
+  run over one gateway or N shards unchanged.
 
 **Bit-identity.**  The accounting is *logical*, exactly like PR 5 treated
 frame headers as pure transport: the coordinator logs **one**
 ``service_round_open`` message at the canonical broadcast encoding's bits
 even though N physical broadcasts go out (shard fan-out is transport, not
 protocol), and every report batch is logged at its exact canonical wire
-bits on whichever shard it lands.  Because the merge algebra is
-associative/commutative and exact over int64 counts, and because the
-estimate is produced by the same ``finalize_estimate`` call over the same
-merged inputs, a fixed-seed cluster run is bit-identical — estimates,
-transcripts, wire-bit totals — to the single-gateway and in-memory runs
+bits on whichever shard it lands.  The codecs are canonical, so the
+client can log without trusting the network: the bytes it sends are the
+bytes the gateways account, and :meth:`ClusterConnection.open_round`
+checks every shard's broadcast accounting against the canonical size.
+Because the merge algebra is associative/commutative and exact over int64
+counts, and because the estimate is produced by the same
+``finalize_estimate`` call over the same merged inputs, a fixed-seed run
+is bit-identical — estimates, transcripts, wire-bit totals — at every
+shard count and to the in-memory service
 (``tests/test_cluster_equivalence.py``).
 
 **Failure taxonomy** (structured :class:`~repro.service.server.ServiceError`
 codes, branchable like the PR 5 codes):
 
-* ``shard_unavailable`` — a shard gateway died or stopped answering
-  (socket timeouts bound every read: never a hang);
+* ``shard_unavailable`` — a gateway died, refused the connection or
+  stopped answering (socket timeouts bound every read: never a hang) —
+  for a single gateway too;
 * ``ring_version_mismatch`` — the ring changed between round open and the
   barrier, so routing can no longer be trusted;
 * ``shard_mismatch`` — a shard's exported state disagrees with the
@@ -48,36 +52,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.ldp.base import EstimationResult
-from repro.net.client import GatewayConnection, RemoteAggregationServer, parse_address
+from repro.cluster.ring import HashRing
+from repro.federation.messages import Message, MessageDirection
+from repro.ldp.base import EstimationResult, FrequencyOracle
+from repro.net.client import GatewayConnection, parse_cluster_addresses
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
-from repro.service.protocol import RoundBroadcast, encode_broadcast, wire_bits
+from repro.service.protocol import (
+    ReportBatch,
+    RoundBroadcast,
+    decode_report_batch,
+    encode_broadcast,
+    encode_report_batch,
+    wire_bits,
+)
 from repro.service.server import ExportedShardState, ServiceError, estimate_exported
 
-
-def parse_cluster_addresses(addresses) -> list[str]:
-    """Normalise a cluster address (comma-joined string or iterable).
-
-    Every element must be ``HOST:PORT``; duplicates are rejected because
-    opening the same gateway twice would double-count its sub-round.
-    A single address is a valid (1-shard) cluster.
-    """
-    if isinstance(addresses, str):
-        parts = [part.strip() for part in addresses.split(",")]
-    else:
-        parts = [str(part).strip() for part in addresses]
-    if not parts or any(not part for part in parts):
-        raise ValueError(
-            f"cluster address must be a non-empty list of HOST:PORT, got {addresses!r}"
-        )
-    normalised = []
-    for part in parts:
-        host, port = parse_address(part)
-        normalised.append(f"{host}:{port}")
-    if len(set(normalised)) != len(normalised):
-        raise ValueError(f"cluster address lists a shard twice: {normalised}")
-    return normalised
+__all__ = ["ClusterConnection", "ClusterCoordinator", "parse_cluster_addresses"]
 
 
 @dataclass
@@ -100,18 +90,20 @@ class _ClusterRound:
 
 
 class ClusterConnection:
-    """Synchronous client of an N-shard gateway cluster.
+    """Synchronous client of a gateway cluster — one gateway or N shards.
 
     The :class:`~repro.net.client.GatewayConnection` surface —
     ``open_round`` / ``send_batch`` / ``drain`` / ``finalize`` /
-    ``stats`` / ``latencies`` — over a list of shard gateways, plus the
-    cluster-only :meth:`shutdown_cluster`.
+    ``stats`` / ``metrics`` / ``latencies`` — over a list of shard
+    gateways, plus :meth:`shutdown_cluster`.  A single ``HOST:PORT`` is a
+    one-shard cluster: its :meth:`stats` and :meth:`metrics` carry the
+    gateway's own document as ``shards[0]``.
 
     Parameters
     ----------
     addresses:
-        Comma-joined ``HOST:PORT`` string (or iterable of them), one per
-        shard gateway.  Order defines shard indices on the ring.
+        ``HOST:PORT``, or a comma-joined string (or iterable) of them, one
+        per shard gateway.  Order defines shard indices on the ring.
     timeout:
         Socket timeout for every shard connection; a stuck shard
         surfaces as a ``shard_unavailable`` :class:`ServiceError`,
@@ -123,10 +115,6 @@ class ClusterConnection:
         frame per ``timeout - ε`` stretches the finalize barrier by its
         full drain; with it the barrier raises ``shard_unavailable``
         after at most ``op_timeout`` per shard.
-    ring_seed / n_vnodes:
-        :class:`~repro.cluster.ring.HashRing` parameters.  Routing only
-        affects *which* shard accumulates a batch, never the merged
-        result — the merge algebra is partition-independent.
     telemetry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` for the
         coordinator's own counters (per-shard route counts, merge-barrier
@@ -144,8 +132,6 @@ class ClusterConnection:
         *,
         timeout: float = 60.0,
         op_timeout: float | None = None,
-        ring_seed: int = 0,
-        n_vnodes: int | None = None,
         telemetry: MetricsRegistry | None = None,
         tracer=None,
     ):
@@ -153,11 +139,10 @@ class ClusterConnection:
         self.n_shards = len(self.addresses)
         self.timeout = float(timeout)
         self.op_timeout = None if op_timeout is None else float(op_timeout)
-        self.ring = HashRing(
-            self.n_shards,
-            seed=int(ring_seed),
-            n_vnodes=int(n_vnodes) if n_vnodes else DEFAULT_VNODES,
-        )
+        # Routing only decides *which* shard accumulates a batch, never
+        # the merged result (the merge algebra is partition-independent),
+        # so the ring is fixed by the shard count alone.
+        self.ring = HashRing(self.n_shards)
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tracer = tracer
         self._m_rounds_opened = self.telemetry.counter("cluster_rounds_opened_total")
@@ -473,78 +458,132 @@ class ClusterConnection:
         self.close()
 
 
-class ClusterCoordinator(RemoteAggregationServer):
-    """An :class:`~repro.service.server.AggregationServer` backed by a cluster.
+class ClusterCoordinator:
+    """An :class:`~repro.service.server.AggregationServer` living elsewhere.
 
-    The server-protocol face of :class:`ClusterConnection` — everything
-    :class:`~repro.net.client.RemoteAggregationServer` does (client-side
-    wire-bit message log, lazy connection so instances pickle into
-    process-backend workers, canonical-bits verification at round open)
-    with the single-gateway connection swapped for the cluster one.
-    ``config.gateway`` holding a comma-separated shard list is what routes
-    a mechanism here (:meth:`repro.core.base.FederatedMechanism.
-    _make_round_runner`).
+    The slice of the server interface the service round runner and the
+    mechanism base class use, executing each round over a
+    :class:`ClusterConnection` to ``addresses`` — one gateway or N
+    shards.  The connection opens lazily, so instances pickle into
+    process-backend workers (the socket is dropped and rebuilt there).
+    The wire-bit message log is kept client-side, operation for operation
+    like the in-memory server's — same kinds, same order, same exact bit
+    counts — which is what makes a networked mechanism run
+    transcript-identical to service mode.  ``config.gateway`` in network
+    mode is what hands a mechanism one of these
+    (:meth:`repro.core.base.FederatedMechanism._make_round_runner`).
     """
 
-    def __init__(
-        self,
-        addresses,
-        *,
-        timeout: float = 60.0,
-        op_timeout: float | None = None,
-        ring_seed: int = 0,
-        n_vnodes: int | None = None,
-        telemetry: MetricsRegistry | None = None,
-        tracer=None,
-    ):
-        cluster = parse_cluster_addresses(addresses)
-        super().__init__(",".join(cluster), timeout=timeout)
-        self.shard_addresses = cluster
-        self.op_timeout = None if op_timeout is None else float(op_timeout)
-        self.ring_seed = int(ring_seed)
-        self.n_vnodes = n_vnodes
-        self.telemetry = telemetry
-        self.tracer = tracer
+    def __init__(self, addresses, *, timeout: float = 60.0):
+        self.addresses = parse_cluster_addresses(addresses)
+        self.timeout = float(timeout)
+        self._connection: ClusterConnection | None = None
+        self._messages: list[Message] = []
+        self._upload_bits = 0
+        self._broadcast_bits = 0
 
-    def _connect(self) -> ClusterConnection:
-        return ClusterConnection(
-            self.shard_addresses,
-            timeout=self.timeout,
-            op_timeout=self.op_timeout,
-            ring_seed=self.ring_seed,
-            n_vnodes=self.n_vnodes,
-            telemetry=self.telemetry,
-            tracer=self.tracer,
-        )
-
-    def __getstate__(self) -> dict:
-        # Registries and tracers hold locks/file handles — they stay with
-        # the process that created them; a worker that unpickles this
-        # coordinator reconnects without telemetry.
-        state = super().__getstate__()
-        state["telemetry"] = None
-        state["tracer"] = None
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_connection"] = None  # sockets don't pickle; reconnect lazily
         return state
 
-    def shutdown_cluster(self) -> None:
-        """Gracefully stop every shard gateway, then drop the connection."""
-        conn = self._conn()
-        try:
-            conn.shutdown_cluster()
-        finally:
-            self.shutdown()
+    def _conn(self) -> ClusterConnection:
+        if self._connection is None:
+            self._connection = ClusterConnection(self.addresses, timeout=self.timeout)
+        return self._connection
 
+    # ------------------------------------------------------------------ #
+    # Round lifecycle (the AggregationServer slice ServiceRoundRunner uses)
+    # ------------------------------------------------------------------ #
+    def open_round(
+        self, *, party: str, level: int, oracle: FrequencyOracle, domain
+    ) -> int:
+        """Open a round on every shard; log one canonical broadcast.
 
-def run_over_cluster(mechanism, dataset, addresses, rng=None):
-    """Re-run a federated mechanism over an N-shard gateway cluster.
+        :meth:`ClusterConnection.open_round` has already checked every
+        shard's accounting of the broadcast against the canonical bits
+        it returns (``shard_mismatch`` otherwise).
+        """
+        round_id, bits = self._conn().open_round(
+            RoundBroadcast(
+                party=party,
+                level=int(level),
+                oracle_name=oracle.name,
+                epsilon=oracle.epsilon,
+                domain_size=int(domain.size),
+                prefixes=tuple(domain.prefixes),
+            )
+        )
+        self._broadcast_bits += bits
+        self._messages.append(
+            Message(
+                direction=MessageDirection.SERVER_TO_PARTY,
+                party=party,
+                kind="service_round_open",
+                payload_bits=bits,
+                level=int(level),
+            )
+        )
+        return round_id
 
-    The cluster twin of :func:`~repro.net.client.run_over_network` (which
-    it delegates to — a comma-separated gateway address *is* cluster
-    mode): for a fixed seed the result is bit-identical to single-gateway
-    and in-memory service runs.
-    """
-    from repro.net.client import run_over_network
+    def ingest(self, round_id: int, payload: bytes) -> int:
+        """Pipeline one already-encoded wire batch into a remote round.
 
-    return run_over_network(
-        mechanism, dataset, ",".join(parse_cluster_addresses(addresses)), rng
-    )
+        Mirrors :meth:`AggregationServer.ingest`, decoding the payload
+        locally so the message log carries the same party/level the
+        in-memory server would have recorded.
+        """
+        return self._send_payload(round_id, decode_report_batch(payload), payload)
+
+    def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
+        """Encode one batch, pipeline it, and log it exactly like the server.
+
+        The ack (and with it any structured server error) surfaces at the
+        latest on :meth:`finalize_round` — batches are fire-and-forget up
+        to the credit budget, which is what keeps upload throughput off
+        the round-trip time.
+        """
+        return self._send_payload(round_id, batch, encode_report_batch(batch))
+
+    def _send_payload(self, round_id: int, batch: ReportBatch, payload: bytes) -> int:
+        bits = wire_bits(payload)
+        self._conn().send_batch(round_id, payload)
+        self._upload_bits += bits
+        self._messages.append(
+            Message(
+                direction=MessageDirection.PARTY_TO_SERVER,
+                party=batch.party,
+                kind="report_batch",
+                payload_bits=bits,
+                level=batch.level,
+            )
+        )
+        return batch.n_users
+
+    def finalize_round(self, round_id: int) -> EstimationResult:
+        return self._conn().finalize(round_id)
+
+    # ------------------------------------------------------------------ #
+    # Accounting (client-side mirror of the in-memory server's)
+    # ------------------------------------------------------------------ #
+    @property
+    def messages(self) -> list[Message]:
+        return list(self._messages)
+
+    def drain_messages(self) -> list[Message]:
+        messages, self._messages = self._messages, []
+        return messages
+
+    def upload_bits(self) -> int:
+        return self._upload_bits
+
+    def broadcast_bits(self) -> int:
+        return self._broadcast_bits
+
+    def shutdown(self) -> None:
+        """Close this client's connections (the gateways keep serving)."""
+        if self._connection is not None:
+            try:
+                self._connection.close()
+            finally:
+                self._connection = None

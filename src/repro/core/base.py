@@ -160,28 +160,20 @@ class FederatedMechanism(abc.ABC):
         ``max_workers`` double as the server's sharded-decode engine (it
         only materialises for OLH rounds; nested process requests degrade
         to serial inside engine workers).  Network mode swaps the local
-        server for a :class:`~repro.net.client.RemoteAggregationServer`
-        speaking to ``config.gateway`` — one connection per party, opened
-        lazily, so party tasks stay self-contained on any backend there
-        too.  A **comma-separated** gateway address is a shard cluster:
-        the same seam hands the party a
-        :class:`~repro.cluster.coordinator.ClusterCoordinator` instead,
-        and nothing downstream can tell the difference (that is the
-        cluster's bit-identity contract).
+        server for a :class:`~repro.cluster.coordinator.ClusterCoordinator`
+        speaking to ``config.gateway`` — one gateway, or a comma-separated
+        list of shard gateways; a single gateway is a one-shard cluster
+        and nothing downstream can tell the shard count (the cluster's
+        bit-identity contract).  One connection per party, opened lazily,
+        so party tasks stay self-contained on any backend there too.
         """
         if config.execution_mode == "network":
-            # Local imports: the core layer must not require the network
+            # Local import: the core layer must not require the network
             # runtime unless a run actually asks for it.
-            if "," in str(config.gateway):
-                from repro.cluster.coordinator import ClusterCoordinator
+            from repro.cluster.coordinator import ClusterCoordinator
 
-                server = ClusterCoordinator(config.gateway)
-            else:
-                from repro.net.client import RemoteAggregationServer
-
-                server = RemoteAggregationServer(config.gateway)
             return ServiceRoundRunner(
-                server=server,
+                server=ClusterCoordinator(config.gateway),
                 party=party_name,
                 batch_size=config.effective_report_batch_size,
             )

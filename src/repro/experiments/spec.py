@@ -309,8 +309,8 @@ LOADGEN_KEYS: tuple[str, ...] = (
 
 #: ``cluster:`` keys — the sharded-cluster topology
 #: (:mod:`repro.cluster`): how many shard gateways ``repro cluster``
-#: launches and the hash-ring parameters every client must share.
-LOADGEN_CLUSTER_KEYS: tuple[str, ...] = ("shards", "host", "ring_seed", "n_vnodes")
+#: launches, and on which host.
+LOADGEN_CLUSTER_KEYS: tuple[str, ...] = ("shards", "host")
 
 #: ``gateway:`` keys — constructor knobs of
 #: :class:`repro.net.gateway.AggregationGateway`.
@@ -354,19 +354,16 @@ LOADGEN_LOAD_KEYS: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """One validated ``cluster:`` section: shard topology + ring identity.
+    """One validated ``cluster:`` section: the shard topology.
 
     ``shards``/``host`` size the launcher
-    (:func:`repro.cluster.launcher.launch_cluster`); ``ring_seed`` /
-    ``n_vnodes`` parameterise the consistent-hash ring
-    (:class:`repro.cluster.ring.HashRing`) — part of the spec because
-    every client driving the same cluster must route with the same ring.
+    (:func:`repro.cluster.launcher.launch_cluster`).  The hash ring is
+    not configurable: it is fixed by the shard count, and routing never
+    changes a merged result.
     """
 
     shards: int = 2
     host: str = "127.0.0.1"
-    ring_seed: int = 0
-    n_vnodes: int | None = None
 
     @classmethod
     def from_dict(
@@ -380,24 +377,13 @@ class ClusterSpec:
         shards = data.get("shards", 2)
         if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
             raise SpecError(f"{source}: cluster.shards must be an integer >= 1")
-        n_vnodes = data.get("n_vnodes")
-        if n_vnodes is not None and (
-            not isinstance(n_vnodes, int) or isinstance(n_vnodes, bool) or n_vnodes < 1
-        ):
-            raise SpecError(f"{source}: cluster.n_vnodes must be an integer >= 1")
         host = data.get("host", "127.0.0.1")
         if not isinstance(host, str) or not host:
             raise SpecError(f"{source}: cluster.host must be a non-empty string")
-        ring_seed = data.get("ring_seed", 0)
-        if not isinstance(ring_seed, int) or isinstance(ring_seed, bool):
-            raise SpecError(f"{source}: cluster.ring_seed must be an integer")
-        return cls(shards=shards, host=host, ring_seed=ring_seed, n_vnodes=n_vnodes)
+        return cls(shards=shards, host=host)
 
     def to_dict(self) -> dict:
-        out = {"shards": self.shards, "host": self.host, "ring_seed": self.ring_seed}
-        if self.n_vnodes is not None:
-            out["n_vnodes"] = self.n_vnodes
-        return out
+        return {"shards": self.shards, "host": self.host}
 
 
 @dataclass(frozen=True)
@@ -505,11 +491,6 @@ class LoadgenSpec:
         kwargs.update(self.load)
         if self.scenario is not None:
             kwargs["scenario"] = self.scenario
-        if self.cluster is not None:
-            # Clients driving a cluster must route with the spec's ring.
-            kwargs["ring_seed"] = self.cluster.ring_seed
-            if self.cluster.n_vnodes is not None:
-                kwargs["ring_vnodes"] = self.cluster.n_vnodes
         if self.faults is not None:
             kwargs["faults"] = self.faults
         return kwargs

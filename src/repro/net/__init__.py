@@ -15,8 +15,10 @@ bytes on TCP:
   :func:`start_gateway` hosts it on a daemon thread for synchronous
   callers;
 * :mod:`repro.net.client` — the synchronous :class:`GatewayConnection`
-  and :class:`RemoteAggregationServer` (a drop-in server proxy with
-  client-side exact wire accounting), plus :func:`run_over_network`;
+  (the per-shard transport), the ``HOST:PORT[,HOST:PORT...]`` address
+  parsers, and :func:`run_over_network`, which serves a mechanism's rounds
+  through :class:`~repro.cluster.coordinator.ClusterCoordinator` — one
+  gateway is a one-shard cluster;
 * :mod:`repro.net.loadgen` — :func:`run_loadgen`, the multiprocess load
   generator measuring throughput and batch-latency percentiles.
 
@@ -29,7 +31,6 @@ transport, never semantics.
 
 from repro.net.client import (
     GatewayConnection,
-    RemoteAggregationServer,
     parse_address,
     run_over_network,
 )
@@ -72,7 +73,6 @@ __all__ = [
     "GatewayHandle",
     "LoadgenReport",
     "OversizeFrameError",
-    "RemoteAggregationServer",
     "decode_metrics_frame",
     "encode_frame",
     "encode_metrics_frame",

@@ -1,7 +1,5 @@
 """Synchronous client side of the networked aggregation runtime.
 
-Two layers:
-
 * :class:`GatewayConnection` — one TCP connection speaking the frame
   protocol: round opening, credit-aware pipelined batch upload (it never
   exceeds the credit budget the gateway announced, and it measures the
@@ -10,20 +8,16 @@ Two layers:
   gateway exports the exact counts and the client estimates once
   (:func:`~repro.service.server.estimate_exported`).  Error frames
   re-raise as the exact exception the in-memory path raises
-  (:func:`repro.net.framing.error_to_exception`).
-* :class:`RemoteAggregationServer` — a drop-in for
-  :class:`~repro.service.server.AggregationServer` as far as
-  :class:`~repro.service.server.ServiceRoundRunner` is concerned
-  (``open_round`` / ``ingest_batch`` / ``finalize_round`` /
-  ``drain_messages`` / ``shutdown``), executing every round over a gateway
-  while keeping the **exact** wire-bit message log locally.  It can log
-  locally without trusting the network because the codecs are canonical:
-  the bytes it sends are the bytes the gateway accounts, which is the
-  entire bit-identity argument.
-
-:func:`run_over_network` mirrors
-:func:`~repro.service.server.run_in_service_mode`: re-run any federated
-mechanism with its frequency-oracle rounds served by a live gateway.
+  (:func:`repro.net.framing.error_to_exception`).  It is the per-shard
+  transport under :class:`~repro.cluster.coordinator.ClusterConnection`.
+* :func:`parse_address` / :func:`parse_cluster_addresses` — the one
+  address format: ``HOST:PORT``, or a comma-joined list of them.  A
+  single gateway is a one-shard cluster.
+* :func:`run_over_network` mirrors
+  :func:`~repro.service.server.run_in_service_mode`: re-run any federated
+  mechanism with its frequency-oracle rounds served by a live gateway or
+  a shard cluster, through
+  :class:`~repro.cluster.coordinator.ClusterCoordinator`.
 """
 
 from __future__ import annotations
@@ -32,8 +26,7 @@ import contextlib
 import socket
 import time
 
-from repro.federation.messages import Message, MessageDirection
-from repro.ldp.base import EstimationResult, FrequencyOracle
+from repro.ldp.base import EstimationResult
 from repro.net import framing
 from repro.net.framing import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -49,15 +42,8 @@ from repro.net.framing import (
     FrameError,
     OversizeFrameError,
 )
-from repro.service.protocol import (
-    ReportBatch,
-    RoundBroadcast,
-    decode_report_batch,
-    encode_broadcast,
-    encode_report_batch,
-    wire_bits,
-)
-from repro.service.server import ServiceError, estimate_exported
+from repro.service.protocol import RoundBroadcast, encode_broadcast
+from repro.service.server import estimate_exported
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -460,155 +446,45 @@ class GatewayConnection:
         self.close()
 
 
-class RemoteAggregationServer:
-    """An :class:`~repro.service.server.AggregationServer` living elsewhere.
+def parse_cluster_addresses(addresses) -> list[str]:
+    """Normalise a cluster address (comma-joined string or iterable).
 
-    Implements the slice of the server interface the service round runner
-    and the mechanism base class use, executing each operation over a
-    gateway connection (established lazily, so instances pickle into
-    process-backend workers).  The wire-bit message log is maintained
-    client-side, operation for operation like the in-memory server's —
-    same kinds, same order, same exact bit counts — which is what makes a
-    networked mechanism run transcript-identical to service mode.
+    Every element must be ``HOST:PORT``; duplicates are rejected because
+    opening the same gateway twice would double-count its sub-round.
+    A single address is a valid (1-shard) cluster.
     """
-
-    def __init__(self, address: str, *, timeout: float = 60.0):
-        self.address = str(address)
-        self.timeout = float(timeout)
-        self._connection: GatewayConnection | None = None
-        self._messages: list[Message] = []
-        self._upload_bits = 0
-        self._broadcast_bits = 0
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_connection"] = None  # sockets don't pickle; reconnect lazily
-        return state
-
-    def _connect(self) -> GatewayConnection:
-        """Build the underlying connection; the cluster coordinator's
-        override is the only other implementation
-        (:class:`repro.cluster.coordinator.ClusterCoordinator`)."""
-        return GatewayConnection(self.address, timeout=self.timeout)
-
-    def _conn(self) -> GatewayConnection:
-        if self._connection is None:
-            self._connection = self._connect()
-        return self._connection
-
-    # ------------------------------------------------------------------ #
-    # Round lifecycle (the AggregationServer slice ServiceRoundRunner uses)
-    # ------------------------------------------------------------------ #
-    def open_round(
-        self, *, party: str, level: int, oracle: FrequencyOracle, domain
-    ) -> int:
-        broadcast = RoundBroadcast(
-            party=party,
-            level=int(level),
-            oracle_name=oracle.name,
-            epsilon=oracle.epsilon,
-            domain_size=int(domain.size),
-            prefixes=tuple(domain.prefixes),
+    if isinstance(addresses, str):
+        parts = [part.strip() for part in addresses.split(",")]
+    else:
+        parts = [str(part).strip() for part in addresses]
+    if not parts or any(not part for part in parts):
+        raise ValueError(
+            f"cluster address must be a non-empty list of HOST:PORT, got {addresses!r}"
         )
-        local_bits = wire_bits(encode_broadcast(broadcast))
-        round_id, remote_bits = self._conn().open_round(broadcast)
-        if remote_bits != local_bits:
-            raise ServiceError(
-                f"gateway accounted the round broadcast at {remote_bits} bits, "
-                f"the canonical encoding is {local_bits} — bit-identity breach"
-            )
-        self._broadcast_bits += local_bits
-        self._messages.append(
-            Message(
-                direction=MessageDirection.SERVER_TO_PARTY,
-                party=party,
-                kind="service_round_open",
-                payload_bits=local_bits,
-                level=int(level),
-            )
-        )
-        return round_id
-
-    def ingest(self, round_id: int, payload: bytes) -> int:
-        """Pipeline one already-encoded wire batch into a remote round.
-
-        Mirrors :meth:`AggregationServer.ingest`, decoding the payload
-        locally so the message log carries the same party/level the
-        in-memory server would have recorded.
-        """
-        return self._send_payload(round_id, decode_report_batch(payload), payload)
-
-    def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
-        """Encode one batch, pipeline it, and log it exactly like the server.
-
-        The ack (and with it any structured server error) surfaces at the
-        latest on :meth:`finalize_round` — batches are fire-and-forget up
-        to the credit budget, which is what keeps upload throughput off
-        the round-trip time.
-        """
-        return self._send_payload(round_id, batch, encode_report_batch(batch))
-
-    def _send_payload(self, round_id: int, batch: ReportBatch, payload: bytes) -> int:
-        bits = wire_bits(payload)
-        self._conn().send_batch(round_id, payload)
-        self._upload_bits += bits
-        self._messages.append(
-            Message(
-                direction=MessageDirection.PARTY_TO_SERVER,
-                party=batch.party,
-                kind="report_batch",
-                payload_bits=bits,
-                level=batch.level,
-            )
-        )
-        return batch.n_users
-
-    def finalize_round(self, round_id: int) -> EstimationResult:
-        return self._conn().finalize(round_id)
-
-    # ------------------------------------------------------------------ #
-    # Accounting (client-side mirror of the in-memory server's)
-    # ------------------------------------------------------------------ #
-    @property
-    def messages(self) -> list[Message]:
-        return list(self._messages)
-
-    def drain_messages(self) -> list[Message]:
-        messages, self._messages = self._messages, []
-        return messages
-
-    def upload_bits(self) -> int:
-        return self._upload_bits
-
-    def broadcast_bits(self) -> int:
-        return self._broadcast_bits
-
-    def gateway_stats(self) -> dict:
-        """Ask the gateway for its global accounting counters."""
-        return self._conn().stats()
-
-    def shutdown(self) -> None:
-        """Close this client's connection (the gateway keeps serving)."""
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            finally:
-                self._connection = None
+    normalised = []
+    for part in parts:
+        host, port = parse_address(part)
+        normalised.append(f"{host}:{port}")
+    if len(set(normalised)) != len(normalised):
+        raise ValueError(f"cluster address lists a shard twice: {normalised}")
+    return normalised
 
 
-def run_over_network(mechanism, dataset, address: str, rng=None):
-    """Re-run a federated mechanism with its FO rounds served by a gateway.
+def run_over_network(mechanism, dataset, address, rng=None):
+    """Re-run a federated mechanism with its FO rounds served over the network.
 
     The network twin of
     :func:`~repro.service.server.run_in_service_mode`: copies the
     mechanism's configuration with ``execution_mode="network"`` pointed at
-    ``address`` and runs it on ``dataset``.  For a fixed seed the result —
-    estimates, transcripts, exact wire bits — is bit-identical to service
-    mode (``tests/test_net_equivalence.py``).
+    ``address`` — one ``HOST:PORT`` gateway, or a comma-joined string or
+    iterable of shard gateways — and runs it on ``dataset``.  For a fixed
+    seed the result — estimates, transcripts, exact wire bits — is
+    bit-identical to service mode at any shard count
+    (``tests/test_net_equivalence.py``, ``tests/test_cluster_equivalence.py``).
     """
     config = mechanism.config.with_updates(
         execution_mode="network",
-        gateway=str(address),
+        gateway=",".join(parse_cluster_addresses(address)),
         simulation_mode="per_user",
     )
     return type(mechanism)(config).run(dataset, rng)

@@ -50,7 +50,7 @@ sizes, in-flight decode memory, domain allocations tied to broadcast
 size), while rounds deliberately have no connection ownership — any
 connection may stream into or close any round.  That is load-bearing:
 a process-backend client pickles its
-:class:`~repro.net.client.RemoteAggregationServer` into workers, which
+:class:`~repro.cluster.coordinator.ClusterCoordinator` into workers, which
 reconnect and legitimately finish rounds their parent's connection
 opened.
 """

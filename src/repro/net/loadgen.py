@@ -1,10 +1,11 @@
 """Multiprocess load generation against a live aggregation gateway.
 
 :func:`run_loadgen` drives ``connections`` independent client pools — each
-on its own :class:`~repro.net.client.GatewayConnection`, fanned out over an
-execution backend (:mod:`repro.engine`; ``"process"`` gives true
-multi-core clients, the realistic load shape) — through full
-frequency-oracle rounds against a gateway, and aggregates:
+on its own :class:`~repro.cluster.coordinator.ClusterConnection` (one
+gateway is a one-shard cluster), fanned out over an execution backend
+(:mod:`repro.engine`; ``"process"`` gives true multi-core clients, the
+realistic load shape) — through full frequency-oracle rounds against a
+gateway, and aggregates:
 
 * **throughput** — end-to-end reports/second across all pools (perturb +
   encode + socket + gateway decode + shard accumulate);
@@ -32,7 +33,7 @@ import numpy as np
 from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.engine import get_backend
 from repro.ldp.registry import make_oracle
-from repro.net.client import GatewayConnection
+from repro.net.client import parse_cluster_addresses
 from repro.net.framing import WireFormatError
 from repro.obs.registry import (
     METRICS_SCHEMA,
@@ -72,39 +73,9 @@ class _PoolTask:
     users_per_round: int | None
     top: int
     timeout: float
-    ring_seed: int = 0
-    ring_vnodes: int | None = None
     retries: int = 0
     telemetry: bool = False
     trace: bool = False
-
-
-def _open_connection(
-    address: str,
-    *,
-    timeout: float,
-    ring_seed: int = 0,
-    ring_vnodes: int | None = None,
-    telemetry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-):
-    """One client connection: a comma-separated address is a shard cluster.
-
-    Lazy cluster import — :mod:`repro.net` loads this module eagerly, and
-    the cluster layer sits on top of it, not under it.
-    """
-    if "," in str(address):
-        from repro.cluster.coordinator import ClusterConnection
-
-        return ClusterConnection(
-            address,
-            timeout=timeout,
-            ring_seed=ring_seed,
-            n_vnodes=ring_vnodes,
-            telemetry=telemetry,
-            tracer=tracer,
-        )
-    return GatewayConnection(str(address), timeout=timeout, tracer=tracer)
 
 
 def _run_round(task: _PoolTask, pool: ClientPool, domain, connection, round_seed) -> dict:
@@ -149,6 +120,10 @@ def _run_round(task: _PoolTask, pool: ClientPool, domain, connection, round_seed
 
 def _drive_pool(task: _PoolTask, seed: int) -> dict:
     """Stream every round of one pool; module-level so process backends pickle it."""
+    # Lazy cluster import — repro.net loads this module eagerly, and the
+    # cluster layer sits on top of it, not under it.
+    from repro.cluster.coordinator import ClusterConnection
+
     domain = CandidateDomain.full_domain(task.level)
     pool = ClientPool(task.items, name=task.name, batch_size=task.batch_size)
     round_seeds = spawn_seeds(np.random.default_rng(seed), task.rounds)
@@ -163,13 +138,9 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
     tracer = Tracer() if task.trace else None
 
     def _open():
-        return _open_connection(
-            task.address,
-            timeout=task.timeout,
-            ring_seed=task.ring_seed,
-            ring_vnodes=task.ring_vnodes,
-            telemetry=telemetry,
-            tracer=tracer,
+        # One gateway is a one-shard cluster: the same client either way.
+        return ClusterConnection(
+            task.address, timeout=task.timeout, telemetry=telemetry, tracer=tracer
         )
 
     connection = _open()
@@ -343,8 +314,6 @@ def run_loadgen(
     seed: RandomState = 0,
     timeout: float = 120.0,
     include_gateway_stats: bool = True,
-    ring_seed: int = 0,
-    ring_vnodes: int | None = None,
     faults=None,
     retries: int = 0,
     telemetry: bool = False,
@@ -356,10 +325,10 @@ def run_loadgen(
     ----------
     address:
         ``HOST:PORT`` of a listening gateway — or a **comma-separated
-        list** of them, which drives a shard cluster: every pool gets a
-        :class:`~repro.cluster.coordinator.ClusterConnection` routing its
-        batches over the hash ring (``ring_seed`` / ``ring_vnodes``) and
-        merging at the round-close barrier.
+        list** (or iterable) of them, which drives a shard cluster.  Every
+        pool gets a :class:`~repro.cluster.coordinator.ClusterConnection`
+        routing its batches over the hash ring and merging at the
+        round-close barrier; one gateway is a one-shard cluster.
     dataset / scale / dataset_seed:
         Registry dataset (name or a loaded
         :class:`~repro.datasets.base.FederatedDataset`) whose parties
@@ -417,6 +386,7 @@ def run_loadgen(
     check_positive("retries", retries, strict=False)
     if users_per_round is not None:
         check_positive("users_per_round", users_per_round)
+    shard_addresses = parse_cluster_addresses(address)
     gen = as_generator(seed)
 
     if scenario is not None:
@@ -460,7 +430,7 @@ def run_loadgen(
     # the faults layer sits on top of the net layer, not under it.
     proxies: list = []
     fault_chain = None
-    task_address = str(address)
+    task_address = ",".join(shard_addresses)
     if faults is not None:
         from repro.faults.profile import as_chain, fault_profile_from_dict
         from repro.faults.proxy import FaultProxy
@@ -468,7 +438,6 @@ def run_loadgen(
         if isinstance(faults, (dict, list, tuple)):
             faults = fault_profile_from_dict(faults, source="<loadgen faults>")
         fault_chain = as_chain(faults)
-        shard_addresses = [part.strip() for part in str(address).split(",")]
         proxies = [
             FaultProxy(shard_address, fault_chain.shifted(index))
             for index, shard_address in enumerate(shard_addresses)
@@ -489,15 +458,12 @@ def run_loadgen(
             users_per_round=users_per_round,
             top=int(top),
             timeout=float(timeout),
-            ring_seed=int(ring_seed),
-            ring_vnodes=ring_vnodes,
             retries=int(retries),
             telemetry=bool(telemetry),
             trace=trace_log is not None,
         )
         for name, items in pools
     ]
-    n_shards = str(address).count(",") + 1
 
     engine = get_backend(backend, max_workers)
     start = time.perf_counter()
@@ -548,14 +514,14 @@ def run_loadgen(
     gateway_stats = None
     if include_gateway_stats:
         # The probe asks the real gateway, never the (now closed) proxies.
-        with _open_connection(
-            address, timeout=timeout, ring_seed=ring_seed, ring_vnodes=ring_vnodes
-        ) as probe:
+        from repro.cluster.coordinator import ClusterConnection
+
+        with ClusterConnection(shard_addresses, timeout=timeout) as probe:
             gateway_stats = probe.stats()
             if telemetry_doc is not None:
                 telemetry_doc["gateway"] = probe.metrics()
     return LoadgenReport(
-        address=str(address),
+        address=",".join(shard_addresses),
         workload=workload,
         oracle=oracle,
         epsilon=float(epsilon),
@@ -564,7 +530,7 @@ def run_loadgen(
         rounds=int(rounds),
         batch_size=int(batch_size),
         backend=engine.name,
-        shards=n_shards,
+        shards=len(shard_addresses),
         elapsed_seconds=round(elapsed, 4),
         n_reports=n_reports,
         n_batches=sum(r["n_batches"] for r in results),

@@ -526,7 +526,9 @@ class TestServeListen:
         # The gateway accounted exactly the bits the clients sent.
         assert stats["upload_bits"] == report["upload_bits"]
         assert stats["broadcast_bits"] == report["broadcast_bits"]
-        assert report["gateway"]["credits_per_connection"] == 4
+        # One gateway is a one-shard cluster: its own counters are shards[0].
+        assert report["gateway"]["n_shards"] == 1
+        assert report["gateway"]["shards"][0]["credits_per_connection"] == 4
 
 
 class TestGatewaySpecErrors:

@@ -23,7 +23,6 @@ from repro.cluster.coordinator import (
     ClusterConnection,
     ClusterCoordinator,
     parse_cluster_addresses,
-    run_over_cluster,
 )
 from repro.core.config import MechanismConfig
 from repro.core.tap import TAPMechanism
@@ -114,7 +113,7 @@ class TestClusterVsSingleGateway:
         single = run_over_network(
             TAPMechanism(config), two_party_dataset, shard_pool[0].address, rng=321
         )
-        cluster = run_over_cluster(
+        cluster = run_over_network(
             TAPMechanism(config),
             two_party_dataset,
             [h.address for h in shard_pool],
@@ -345,8 +344,29 @@ class TestClusterSurface:
         assert coordinator._conn() is not None
         clone = pickle.loads(pickle.dumps(coordinator))
         assert clone._connection is None
-        assert clone.shard_addresses == coordinator.shard_addresses
+        assert clone.addresses == coordinator.addresses
         coordinator.shutdown()
+
+    @pytest.mark.parametrize("gateway", ["h:1", "h1:1,h2:2"])
+    def test_one_server_class_for_every_address(self, gateway):
+        """A single gateway is a one-shard cluster: the same class serves
+        both (connections open lazily, so no gateway has to listen)."""
+        config = MechanismConfig(
+            k=5, epsilon=4.0, n_bits=8, simulation_mode="per_user",
+            execution_mode="network", gateway=gateway,
+        )
+        runner = TAPMechanism._make_round_runner(config, "alpha")
+        assert type(runner.server) is ClusterCoordinator
+        assert runner.server.addresses == parse_cluster_addresses(gateway)
+
+    def test_closed_single_gateway_is_shard_unavailable(self, two_party_dataset):
+        handle = start_gateway()
+        address = handle.address
+        handle.close()
+        config = _config(two_party_dataset)
+        with pytest.raises(ServiceError) as err:
+            run_over_network(TAPMechanism(config), two_party_dataset, address, rng=1)
+        assert err.value.code == "shard_unavailable"
 
     def test_connecting_to_a_dead_shard_is_shard_unavailable(self, shard_pool):
         live = shard_pool[0].address

@@ -12,8 +12,8 @@ pins that equivalence
 * over a **live TCP gateway** against an in-process
   ``AggregationServer``, for every registered oracle, on the serial and
   thread decode backends, through both networked round closes:
-  ``GatewayConnection.finalize`` and a one-shard
-  ``ClusterConnection.finalize``.
+  ``GatewayConnection.finalize`` (driven directly) and a one-shard
+  ``ClusterConnection.finalize`` (through ``ClusterCoordinator``).
 
 CI runs this module as its own smoke step: a kernel regression that
 breaks bit-identity fails here first, with the oracle named.
@@ -26,11 +26,10 @@ import pytest
 
 from repro.cluster import ClusterCoordinator
 from repro.ldp import available_oracles, make_oracle
-from repro.net import start_gateway
-from repro.net.client import RemoteAggregationServer
+from repro.net import GatewayConnection, start_gateway
 from repro.service.clients import ClientPool
 from repro.service.columnar import BatchSummary, summarize_report_payload
-from repro.service.protocol import encode_report_batch, wire_bits
+from repro.service.protocol import RoundBroadcast, encode_report_batch, wire_bits
 from repro.service.server import AggregationServer
 from repro.trie.candidate_domain import CandidateDomain
 
@@ -150,6 +149,29 @@ def _run_round_over(server, oracle_name: str):
         server.shutdown()
 
 
+def _run_round_over_gateway_connection(address: str, oracle_name: str):
+    """The same round on a bare :class:`GatewayConnection`, closed by its
+    own ``finalize``: the result and the wire bits it sent and was sent."""
+    oracle = make_oracle(oracle_name, epsilon=EPSILON)
+    domain = _domain()
+    with GatewayConnection(address) as connection:
+        round_id, down = connection.open_round(
+            RoundBroadcast(
+                party="party-a",
+                level=N_BITS,
+                oracle_name=oracle.name,
+                epsilon=oracle.epsilon,
+                domain_size=domain.size,
+                prefixes=tuple(domain.prefixes),
+            )
+        )
+        up = 0
+        for payload in _wire_batches(oracle_name):
+            connection.send_batch(round_id, payload)
+            up += wire_bits(payload)
+        return connection.finalize(round_id), up, down
+
+
 @pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("oracle_name", available_oracles())
 def test_gateway_columnar_equals_in_process(oracle_name, backend):
@@ -158,20 +180,20 @@ def test_gateway_columnar_equals_in_process(oracle_name, backend):
     )
     workers = 2 if backend == "thread" else None
     with start_gateway(decode_backend=backend, decode_workers=workers) as gateway:
-        # RemoteAggregationServer closes through GatewayConnection.finalize,
-        # a one-address ClusterCoordinator through ClusterConnection.finalize.
-        closes = {
-            "gateway": _run_round_over(
-                RemoteAggregationServer(gateway.address), oracle_name
-            ),
-            "cluster": _run_round_over(
-                ClusterCoordinator([gateway.address]), oracle_name
-            ),
-        }
+        # A one-address ClusterCoordinator closes through
+        # ClusterConnection.finalize; GatewayConnection.finalize is driven
+        # directly, as the benchmark's ingest workload does.
+        cluster = _run_round_over(ClusterCoordinator(gateway.address), oracle_name)
+        gateway_close = _run_round_over_gateway_connection(
+            gateway.address, oracle_name
+        )
 
-    for close, (result, transcript, up, down) in closes.items():
-        _assert_results_identical(ref_result, result)
-        assert transcript == ref_transcript, close
-        # Exact wire bits: the columnar path changes what the gateway's
-        # *workers* do, never what crosses the network.
-        assert (up, down) == (ref_up, ref_down), close
+    result, transcript, up, down = cluster
+    _assert_results_identical(ref_result, result)
+    assert transcript == ref_transcript
+    # Exact wire bits: the columnar path changes what the gateway's
+    # *workers* do, never what crosses the network.
+    assert (up, down) == (ref_up, ref_down)
+    result, up, down = gateway_close
+    _assert_results_identical(ref_result, result)
+    assert (up, down) == (ref_up, ref_down)

@@ -296,6 +296,15 @@ class TestLoadgenSpec:
         with pytest.raises(SpecError, match=rf"stale\.yaml.*{section}.*'typo'"):
             LoadgenSpec.from_dict(doc, source="stale.yaml")
 
+    @pytest.mark.parametrize("key,value", [("ring_seed", 0), ("n_vnodes", 64)])
+    def test_stale_ring_keys_fail_loudly(self, key, value):
+        # The hash ring is fixed by the shard count; a spec that still
+        # sets its old knobs (even to their old defaults) must not run
+        # as if they applied.
+        stale = {**LOADGEN_DICT, "cluster": {"shards": 2, key: value}}
+        with pytest.raises(SpecError, match=rf"unknown cluster.*'{key}'"):
+            LoadgenSpec.from_dict(stale, source="stale.yaml")
+
     @pytest.mark.parametrize("form", [True, {}, "turbo"])
     def test_every_form_of_the_adaptive_block_fails_loudly(self, form):
         # `adaptive: true` was the default-config shorthand and `{}` an

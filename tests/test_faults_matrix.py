@@ -156,13 +156,16 @@ def test_chaos_cell_converges_or_fails_structured(
 
 def test_unbounded_disconnects_exhaust_retries_structurally(gateway):
     """No budget, disconnect every report frame: the retry loop must give
-    up with a structured transport error — never hang, never succeed."""
+    up with the structured ``shard_unavailable`` error — never hang, never
+    succeed.  A single gateway is a one-shard cluster, so its transport
+    death is reported like a dead shard's."""
     unbounded = FaultProfile(
         name="killer", seed=21, disconnect=1.0, direction="up",
         kinds=(FRAME_REPORT_BATCH,),
     )
-    with pytest.raises((ConnectionError, OSError, EOFError)):
+    with pytest.raises(ServiceError) as err:
         _drive(gateway.address, "drift", faults=unbounded, retries=2)
+    assert err.value.code == "shard_unavailable"
 
 
 def test_retry_replay_is_bit_identical_across_backends(gateway):

@@ -10,7 +10,8 @@ import pytest
 
 from repro.ldp.registry import make_oracle
 from repro.net import framing
-from repro.net.client import GatewayConnection, RemoteAggregationServer
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.net.client import GatewayConnection
 from repro.net.framing import OversizeFrameError
 from repro.net.gateway import start_gateway
 from repro.service.clients import iter_perturbed_batches
@@ -406,7 +407,9 @@ class TestAdmissionControl:
         handle.close()  # idempotent after self-stop
 
 
-class TestRemoteAggregationServer:
+class TestCoordinatorOverOneGateway:
+    """The one networked server class, at a single ``HOST:PORT``."""
+
     def test_mirrors_local_accounting_exactly(self, gateway):
         domain = CandidateDomain.full_domain(3)
         oracle = make_oracle("krr", 4.0)
@@ -423,7 +426,7 @@ class TestRemoteAggregationServer:
             estimate = server.finalize_round(round_id)
             return estimate, server.drain_messages()
 
-        remote_server = RemoteAggregationServer(gateway.address)
+        remote_server = ClusterCoordinator(gateway.address)
         remote_est, remote_msgs = drive(remote_server)
         remote_server.shutdown()
         local_server = AggregationServer()
@@ -444,7 +447,7 @@ class TestRemoteAggregationServer:
     def test_raw_payload_ingest_matches_server(self, gateway):
         domain = CandidateDomain.full_domain(3)
         oracle = make_oracle("krr", 4.0)
-        server = RemoteAggregationServer(gateway.address)
+        server = ClusterCoordinator(gateway.address)
         round_id = server.open_round(
             party="alpha", level=3, oracle=oracle, domain=domain
         )
@@ -462,12 +465,12 @@ class TestRemoteAggregationServer:
     def test_pickles_without_its_socket(self, gateway):
         import pickle
 
-        server = RemoteAggregationServer(gateway.address)
+        server = ClusterCoordinator(gateway.address)
         domain = CandidateDomain.full_domain(2)
         oracle = make_oracle("krr", 4.0)
         server.open_round(party="p", level=2, oracle=oracle, domain=domain)
         clone = pickle.loads(pickle.dumps(server))
-        assert clone.address == server.address
+        assert clone.addresses == server.addresses == [gateway.address]
         assert clone.broadcast_bits() == server.broadcast_bits()
         assert clone._connection is None
         server.shutdown()

@@ -203,3 +203,28 @@ class TestScenarioReplay:
         assert [e["top_prefixes"] for e in first.per_connection] == [
             e["top_prefixes"] for e in second.per_connection
         ]
+
+
+class TestAddresses:
+    @pytest.mark.parametrize("faults", [None, {"name": "quiet"}], ids=["plain", "faults"])
+    def test_a_shard_listed_twice_is_rejected(self, gateway, faults):
+        # With faults every shard gets its own proxy port, so the repeat
+        # must be caught on the address as given, before any proxy starts.
+        with pytest.raises(ValueError, match="twice"):
+            run_loadgen(
+                f"{gateway.address},{gateway.address}", dataset="rdb",
+                scale="tiny", connections=1, backend="serial", faults=faults,
+            )
+
+    def test_one_gateway_reports_as_a_one_shard_cluster(self):
+        # A fresh gateway, so its counters hold this run's traffic alone.
+        with start_gateway() as gateway:
+            report = run_loadgen(
+                [gateway.address], dataset="rdb", scale="tiny", level=4,
+                connections=1, backend="serial", seed=0,
+            )
+        assert report.address == gateway.address
+        assert report.shards == report.gateway["n_shards"] == 1
+        assert report.gateway["upload_bits"] == report.upload_bits
+        (shard,) = report.gateway["shards"]
+        assert shard["upload_bits"] == report.upload_bits

@@ -118,6 +118,12 @@ class TestLiveScrape:
         capsys.readouterr()
         document = json.loads(out.read_text(encoding="utf-8"))
         validate_metrics_document(document)
+        # One gateway is a one-shard cluster: its own document is shards[0].
+        assert document["source"] == "cluster"
+        (shard,) = document["shards"]
+        validate_metrics_document(shard)
+        assert shard["source"] == "gateway"
+        assert shard["metrics"]["counters"]["gateway_connections_total"] >= 1
         assert main(["stats", gateway.address]) == 0
         rendered = capsys.readouterr().out
         assert "gateway_connections_total" in rendered
