@@ -29,7 +29,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
-    extras_require={"yaml": ["PyYAML"], "test": ["pytest", "pytest-benchmark"]},
+    install_requires=["numpy", "scipy"],
+    extras_require={
+        "yaml": ["PyYAML"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+    },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

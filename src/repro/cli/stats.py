@@ -5,10 +5,11 @@ document (the wire protocol's ``metrics`` control op, answered with a
 ``FRAME_STATS`` frame), schema-validates it, and prints a human summary;
 ``--json`` / ``-o FILE`` emit the raw document instead.  A
 comma-separated address scrapes a whole cluster.  Either way the
-document is the cluster one (``source: "cluster"``): the coordinator's
-own registry plus every shard's document under ``shards`` — a single
-gateway is a one-shard cluster, its document ``shards[0]`` — each
-validated.
+document is the cluster one (``source: "cluster"``): every shard's
+document under ``shards`` — a single gateway is a one-shard cluster, its
+document ``shards[0]`` — each validated.  The top-level ``metrics`` is
+the registry of the connection that made the scrape, so its
+``cluster_*`` counters are all 0; the human summary leaves it out.
 
 Scraping is read-only and safe mid-round: the gateway serialises the
 snapshot through the same single-worker accumulator that applies batches,
@@ -94,8 +95,9 @@ def cmd(args: argparse.Namespace) -> int:
     if args.json or args.output is not None:
         emit_json(document, args.output)
         return 0
-    lines = _render_document(document)
-    for shard_document in document.get("shards", []):
+    shard_documents = document.get("shards", [])
+    lines = [f"cluster of {len(shard_documents)} shard(s) ({document['schema']})"]
+    for shard_document in shard_documents:
         lines.extend(_render_document(shard_document, indent="  "))
     print("\n".join(lines))
     return 0

@@ -419,9 +419,11 @@ class ClusterConnection:
     def metrics(self) -> dict:
         """Cluster-wide metrics document: coordinator registry + shard scrapes.
 
-        The coordinator's own snapshot rides under ``"metrics"`` (so the
+        This connection's own snapshot rides under ``"metrics"`` (so the
         document validates like any other); each shard's full wire-scraped
-        document is listed under ``"shards"`` in address order.
+        document is listed under ``"shards"`` in address order.  For a
+        connection opened only to scrape, as ``repro stats`` does, that
+        snapshot is the scraper's: every ``cluster_*`` counter reads 0.
         """
         shards = [
             self._on_shard(shard, conn.metrics)

@@ -17,8 +17,10 @@ driven, inspected, or shut down individually with the existing tools.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,9 +53,14 @@ class ShardProcess:
 class ClusterHandle:
     """Supervisor for a launched shard cluster (context manager)."""
 
-    def __init__(self, shards: list[ShardProcess], run_dir: Path):
+    def __init__(
+        self, shards: list[ShardProcess], run_dir: Path, *, owns_run_dir: bool
+    ):
         self.shards = shards
         self.run_dir = run_dir
+        #: True when :func:`launch_cluster` made ``run_dir`` itself; only
+        #: then does a clean :meth:`shutdown` remove it.
+        self.owns_run_dir = owns_run_dir
         self._exit_codes: list[int] | None = None
         #: Per-shard structured teardown records, populated by
         #: :meth:`shutdown`: exit code, how the shard went down, and —
@@ -99,6 +106,10 @@ class ClusterHandle:
         had *already* died is not silently reaped — its record says so
         (``"already_exited": true``) and carries the tail of its log, and
         a structured warning is emitted for it.
+
+        A run directory the launcher created is removed once every shard
+        exited 0.  One the caller passed, or one holding the log of a shard
+        that failed, is kept.
         """
         if self._exit_codes is not None:
             return self._exit_codes
@@ -164,6 +175,8 @@ class ClusterHandle:
                 )
         self.shutdown_record = records
         self._exit_codes = [record["exit_code"] for record in records]
+        if self.owns_run_dir and all(code == 0 for code in self._exit_codes):
+            shutil.rmtree(self.run_dir, ignore_errors=True)
         return self._exit_codes
 
     def __enter__(self) -> "ClusterHandle":
@@ -226,7 +239,8 @@ def launch_cluster(
 
     Each shard binds an ephemeral port and writes it to a per-shard
     ready-file under ``run_dir`` (a fresh temporary directory by
-    default, which also collects per-shard logs).  On any failure —
+    default, which also collects per-shard logs and which a clean
+    :meth:`ClusterHandle.shutdown` removes).  On any failure —
     a shard dying before it binds, or the ready deadline passing —
     already-started shards are shut down before the
     :class:`LauncherError` propagates, so a failed launch never leaks
@@ -234,9 +248,8 @@ def launch_cluster(
     """
     if int(n_shards) < 1:
         raise LauncherError(f"n_shards must be >= 1, got {n_shards}")
-    if run_dir is None:
-        import tempfile
-
+    owns_run_dir = run_dir is None
+    if owns_run_dir:
         run_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
     else:
         run_dir = Path(run_dir)
@@ -254,7 +267,7 @@ def launch_cluster(
 
     shards: list[ShardProcess] = []
     logs: list = []
-    handle = ClusterHandle(shards, run_dir)
+    handle = ClusterHandle(shards, run_dir, owns_run_dir=owns_run_dir)
     try:
         ready_files = []
         for index in range(int(n_shards)):
@@ -307,6 +320,8 @@ def launch_cluster(
                 )
             time.sleep(0.05)
     except BaseException:
+        # The logs of a failed launch are its evidence: keep them.
+        handle.owns_run_dir = False
         handle.shutdown()
         raise
     finally:

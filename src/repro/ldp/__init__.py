@@ -28,7 +28,7 @@ from repro.ldp.krr import KRandomizedResponse
 from repro.ldp.oue import OptimizedUnaryEncoding
 from repro.ldp.olh import OptimizedLocalHashing
 from repro.ldp.packed import PackedUnaryReports
-from repro.ldp.budget import PrivacyAccountant, ReportRecord
+from repro.ldp.budget import PrivacyAccountant, ReportBlock
 from repro.ldp.registry import available_oracles, make_oracle
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "OptimizedLocalHashing",
     "PackedUnaryReports",
     "PrivacyAccountant",
-    "ReportRecord",
+    "ReportBlock",
     "available_oracles",
     "make_oracle",
 ]

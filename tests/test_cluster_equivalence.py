@@ -69,7 +69,7 @@ def _assert_bit_identical(service, network):
         net_record = network.party_records[name]
         assert net_record.local_heavy_hitters == svc_record.local_heavy_hitters
         assert net_record.levels == svc_record.levels
-    assert network.accountant.records == service.accountant.records
+    assert network.accountant.blocks == service.accountant.blocks
     assert [
         (m.direction, m.party, m.kind, m.payload_bits, m.level)
         for m in network.transcript.messages

@@ -51,6 +51,17 @@ def _fingerprint(result):
         "broadcast_bits": result.transcript.broadcast_bits(),
         "n_reports": result.accountant.n_reports(),
         "max_spent": result.accountant.max_spent(),
+        "accountant_blocks": [
+            (
+                block.party,
+                block.level,
+                block.epsilon,
+                block.oracle,
+                block.domain_size,
+                block.user_ids.tolist(),
+            )
+            for block in result.accountant.blocks
+        ],
     }
 
 

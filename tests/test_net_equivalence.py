@@ -49,7 +49,7 @@ def _assert_bit_identical(service, network):
         # LevelEstimate is a dataclass: == compares every field, including
         # the float count/frequency dicts, exactly.
         assert net_record.levels == svc_record.levels
-    assert network.accountant.records == service.accountant.records
+    assert network.accountant.blocks == service.accountant.blocks
     # Exact wire accounting, message for message.
     assert [
         (m.direction, m.party, m.kind, m.payload_bits, m.level)

@@ -128,6 +128,9 @@ class TestLiveScrape:
         rendered = capsys.readouterr().out
         assert "gateway_connections_total" in rendered
         assert "gateway_batch_ms" in rendered
+        # The scraper's own, empty coordinator registry is not summarised.
+        assert "cluster_rounds_opened_total" not in rendered
+        assert rendered.startswith("cluster of 1 shard(s)")
 
     def test_stats_cli_fails_cleanly_when_nothing_listens(self, capsys):
         assert main(["stats", "127.0.0.1:9", "--timeout", "0.5"]) == 2

@@ -24,7 +24,7 @@ def _assert_bit_identical(memory, service):
         # LevelEstimate is a dataclass: == compares every field, including
         # the float count/frequency dicts, exactly.
         assert svc_record.levels == mem_record.levels
-    assert service.accountant.records == memory.accountant.records
+    assert service.accountant.blocks == memory.accountant.blocks
 
 
 def _config(dataset, **overrides) -> MechanismConfig:
