@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.utils.validation import check_positive
 
@@ -40,7 +40,7 @@ def constant_extension_probability(delta_f: float, sigma: float, k: int) -> floa
     if sigma <= 0:
         tail = 0.5 if delta_f == 0 else 0.0
     else:
-        tail = float(norm.cdf(-delta_f / (2.0 * sigma)))
+        tail = float(ndtr(-delta_f / (2.0 * sigma)))
     return 1.0 if tail > threshold else 0.0
 
 
@@ -48,7 +48,7 @@ def gaussian_tail(delta_f: float, sigma: float) -> float:
     """``Φ(−δ_f / (2σ))`` — the raw Gaussian tail used inside Theorem 5.2."""
     if sigma <= 0:
         return 0.5 if delta_f == 0 else 0.0
-    return float(norm.cdf(-delta_f / (2.0 * sigma)))
+    return float(ndtr(-delta_f / (2.0 * sigma)))
 
 
 def adaptive_extension_failure_bound(

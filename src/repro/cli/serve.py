@@ -17,11 +17,12 @@ Three modes:
   FILE`` re-renders the records;
 * **network gateway** (``--listen HOST:PORT``): serves the wire protocol
   over TCP — an asyncio :class:`~repro.net.gateway.AggregationGateway`
-  fronting one aggregation server, with decode fan-out on
-  ``--backend/--workers``, credit-based backpressure and oversize-frame
-  rejection.  Port 0 binds an ephemeral port; ``--ready-file FILE``
-  writes the bound ``host:port`` once listening (the scripting seam
-  ``repro loadgen --connect`` pairs with).  The gateway runs until a
+  fronting one aggregation server, with its per-batch decode fan-out on
+  ``--backend/--workers`` (gateway-only flags: the in-process modes count
+  every batch with one support-count scan), credit-based backpressure
+  and oversize-frame rejection.  Port 0 binds an ephemeral port;
+  ``--ready-file FILE`` writes the bound ``host:port`` once listening
+  (the scripting seam ``repro loadgen --connect`` pairs with).  The gateway runs until a
   client sends a shutdown frame (``repro loadgen --shutdown``) or Ctrl-C.
 """
 
@@ -31,7 +32,6 @@ import argparse
 
 from repro.cli.common import (
     CLIError,
-    add_backend_arguments,
     add_dataset_arguments,
     add_logging_arguments,
     add_smoke_argument,
@@ -40,6 +40,7 @@ from repro.cli.common import (
     resolve_scale,
 )
 from repro.datasets.registry import load_dataset
+from repro.engine import available_backends
 from repro.service.harness import serve_dataset
 
 
@@ -133,6 +134,16 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
              "(gateway mode; explicit flags win)",
     )
     listen.add_argument(
+        "--backend", choices=sorted(available_backends()), default=None,
+        help="execution backend of the per-batch decode fan-out: each wire "
+             "batch is decoded and counted on an engine worker (gateway "
+             "mode; default: serial)",
+    )
+    listen.add_argument(
+        "--workers", type=int, default=None,
+        help="worker count for a parallel --backend (gateway mode)",
+    )
+    listen.add_argument(
         "--credits", type=int, default=None,
         help="per-connection in-flight report-batch budget (gateway mode)",
     )
@@ -156,7 +167,6 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
         help="append the gateway's finished trace spans to this JSONL "
              "file (gateway mode; default: off)",
     )
-    add_backend_arguments(parser)
     add_logging_arguments(parser)
     add_smoke_argument(parser)
     parser.add_argument("-o", "--output", default=None,
@@ -187,8 +197,8 @@ SCENARIO_ONLY_FLAGS: tuple[str, ...] = (
     "defense", "defense_fraction", "report_batch_size",
 )
 LISTEN_ONLY_FLAGS: tuple[str, ...] = (
-    "ready_file", "spec", "credits", "max_inflight", "max_frame_bytes",
-    "telemetry_sample", "trace_log",
+    "ready_file", "spec", "backend", "workers", "credits", "max_inflight",
+    "max_frame_bytes", "telemetry_sample", "trace_log",
 )
 #: Flags shared by the raw and scenario modes that a gateway has no use
 #: for (it learns oracle/budget from each broadcast and never perturbs).
@@ -236,8 +246,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             seed=args.rng,
             store=store,
             detection_recall=args.detection_recall,
-            backend=args.backend,
-            max_workers=args.workers,
             defense=args.defense,
             defense_fraction=args.defense_fraction,
             report_batch_size=args.report_batch_size,
@@ -371,8 +379,6 @@ def cmd(args: argparse.Namespace) -> int:
             users_per_round=args.users_per_round,
             top=args.top,
             seed=args.rng,
-            decode_backend=args.backend,
-            decode_workers=args.workers,
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc

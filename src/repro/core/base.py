@@ -156,10 +156,7 @@ class FederatedMechanism(abc.ABC):
 
         ``None`` keeps the estimator's in-memory default; service mode
         gives every party its own aggregation server so party tasks stay
-        self-contained on any backend.  The config's ``backend`` /
-        ``max_workers`` double as the server's sharded-decode engine (it
-        only materialises for OLH rounds; nested process requests degrade
-        to serial inside engine workers).  Network mode swaps the local
+        self-contained on any backend.  Network mode swaps the local
         server for a :class:`~repro.cluster.coordinator.ClusterCoordinator`
         speaking to ``config.gateway`` — one gateway, or a comma-separated
         list of shard gateways; a single gateway is a one-shard cluster
@@ -180,10 +177,7 @@ class FederatedMechanism(abc.ABC):
         if config.execution_mode != "service":
             return None
         return ServiceRoundRunner(
-            server=AggregationServer(
-                decode_backend=config.backend,
-                decode_workers=config.max_workers,
-            ),
+            server=AggregationServer(),
             party=party_name,
             batch_size=config.effective_report_batch_size,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.utils.validation import check_positive
 
@@ -112,14 +112,12 @@ def drift_allowance(
     hi = min(k, limit - k_star)
     if hi < lo:
         return 0.0
-    anchor_freq = freqs[k_star - 1]
+    # hi <= limit - k_star keeps every drifted rank inside freqs.
+    drifts = np.arange(lo, hi + 1)
+    deltas = freqs[k_star - 1] - freqs[k_star + drifts - 1]
+    probs = ndtr(-deltas / (sigma * math.sqrt(2.0)))
     expectation = 0.0
-    for x in range(lo, hi + 1):
-        idx = k_star + x - 1
-        if idx >= n:
-            break
-        delta = anchor_freq - freqs[idx]
-        prob = float(norm.cdf(-delta / (sigma * math.sqrt(2.0))))
+    for x, prob in zip(drifts.tolist(), probs.tolist()):
         expectation += x * prob
     return min(float(k), expectation)
 

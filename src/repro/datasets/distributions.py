@@ -10,7 +10,6 @@ over ``n_items`` ranks, and sample user items from such a vector.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive
@@ -44,6 +43,9 @@ def poisson_frequencies(n_items: int, lam: float) -> np.ndarray:
     """
     check_positive("n_items", n_items)
     check_positive("lam", lam)
+    # Imported here: scipy.stats is slow to import and nothing else needs it.
+    from scipy import stats
+
     ranks = np.arange(n_items, dtype=np.float64)
     weights = stats.poisson.pmf(ranks, mu=float(lam))
     weights = weights + 1e-12

@@ -52,7 +52,6 @@ from repro.engine.backends import (
     available_backends,
     get_backend,
     in_worker_process,
-    split_ranges,
 )
 from repro.utils.rng import spawn_seeds as fan_out_seeds
 
@@ -66,5 +65,4 @@ __all__ = [
     "fan_out_seeds",
     "get_backend",
     "in_worker_process",
-    "split_ranges",
 ]

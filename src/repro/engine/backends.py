@@ -195,31 +195,6 @@ class ProcessBackend(_PoolBackend):
         )
 
 
-def split_ranges(total: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Partition ``range(total)`` into up to ``n_chunks`` contiguous ranges.
-
-    The decomposition unit of sharded work (e.g. OLH candidate-domain
-    decoding in :mod:`repro.service.shards`): ranges are near-equal, ordered
-    and cover the domain exactly, so per-range results concatenate to the
-    full-domain result regardless of which backend ran them.
-    """
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be positive, got {n_chunks}")
-    if total == 0:
-        return [(0, 0)]
-    n_chunks = min(n_chunks, total)
-    base, extra = divmod(total, n_chunks)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for index in range(n_chunks):
-        stop = start + base + (1 if index < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
 #: Backend registry: name → constructor accepting ``max_workers``.
 BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {
     "serial": lambda max_workers=None: SerialBackend(),

@@ -317,7 +317,6 @@ LOADGEN_CLUSTER_KEYS: tuple[str, ...] = ("shards", "host")
 LOADGEN_GATEWAY_KEYS: tuple[str, ...] = (
     "decode_backend",
     "decode_workers",
-    "n_decode_shards",
     "connection_credits",
     "max_inflight_batches",
     "max_frame_bytes",

@@ -131,10 +131,11 @@ class FrequencyOracle(abc.ABC):
     ) -> np.ndarray:
         """Add a report batch's support counts into an accumulator.
 
-        The workhorse of the online aggregation service
-        (:mod:`repro.service.shards`): ingesting a stream batch-by-batch
-        never materialises more than one batch of reports, and the
-        accumulator stays ``O(domain_size)``.
+        The batched in-memory path (:meth:`run` with ``batch_size``):
+        folding a stream batch by batch never materialises more than one
+        batch of reports, and the accumulator stays ``O(domain_size)``.
+        A service shard adds the same :meth:`support_counts` vector
+        (:meth:`repro.service.shards.LevelShard.ingest_counts`).
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (int(domain_size),):
@@ -148,8 +149,7 @@ class FrequencyOracle(abc.ABC):
     ) -> np.ndarray:
         """Add a packed-bit unary batch's support counts into an accumulator.
 
-        Optional protocol method of the columnar hot path
-        (:mod:`repro.service`): ``packed`` is a
+        The packed twin of :meth:`accumulate`: ``packed`` is a
         :class:`~repro.ldp.packed.PackedUnaryReports` aliasing the wire
         payload.  The base implementation is the bit-identical fallback —
         unpack to the dense matrix, then :meth:`accumulate` — so any

@@ -23,11 +23,16 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-#: Cap on the number of (candidate, report) hash evaluations held in memory
-#: at once while decoding: one (candidate-chunk × report-chunk) block of
-#: uint64 scratch stays around 2 MiB — cache-resident — no matter how large
-#: the candidate domain or the report batch grows.
-_DECODE_BLOCK_ELEMENTS = 1 << 18
+#: Cap on the number of (candidate, report) hash evaluations per decode
+#: block.  One block is 256 KiB of uint64, and :func:`_mix` keeps a few
+#: block-sized temporaries alive at once, so the working set stays around
+#: 1 MiB, inside a per-core L2, however large the candidate domain or the
+#: report batch grows.  Chosen by measurement on the OLH decode shapes of a
+#: TAPS discovery (5–157 candidates × 450–11,500 reports): ``1 << 15`` and
+#: ``1 << 16`` tie, and ``1 << 18`` (about 8 MiB with the temporaries) is
+#: slower on every shape tried, e.g. 3.9 vs 2.7 ms for 11,465 reports × 20
+#: candidates on a 2-core Xeon VM.
+_DECODE_BLOCK_ELEMENTS = 1 << 15
 
 #: Reports per inner decode block; the candidate chunk is derived from it
 #: so the block never exceeds :data:`_DECODE_BLOCK_ELEMENTS` elements.
@@ -105,9 +110,8 @@ class OptimizedLocalHashing(FrequencyOracle):
     ) -> np.ndarray:
         """Exact support counts for the candidate range ``[start, stop)``.
 
-        The unit of sharded decoding: ranges partitioning the domain decode
-        independently (on any execution backend) and concatenate to exactly
-        :meth:`support_counts` of the full domain.
+        :meth:`support_counts` is this scan over the whole domain; ranges
+        partitioning the domain concatenate to exactly its result.
 
         The scan is blocked over (candidate-chunk × report-chunk) so its
         uint64 scratch stays cache-resident for any batch size; integer

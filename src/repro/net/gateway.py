@@ -171,11 +171,10 @@ class AggregationGateway:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`address` once started).
     decode_backend / decode_workers:
-        Execution backend for frame decoding *and* the inner server's
-        sharded OLH decode (``None``: serial).  The gateway owns the
-        resolved engine and shuts it down on :meth:`stop`.
-    n_decode_shards:
-        Candidate ranges per OLH decode (see :mod:`repro.service.shards`).
+        Execution backend for the per-batch decode fan-out: each wire
+        batch is decoded and counted into its support-count vector on an
+        engine worker (``None``: serial).  The gateway owns the resolved
+        engine and shuts it down on :meth:`stop`.
     connection_credits:
         Report batches a connection may have in flight (unacked); the
         bound is announced in the welcome message and enforced.
@@ -214,7 +213,6 @@ class AggregationGateway:
         port: int = 0,
         decode_backend: str | ExecutionBackend | None = None,
         decode_workers: int | None = None,
-        n_decode_shards: int = 8,
         connection_credits: int = DEFAULT_CONNECTION_CREDITS,
         max_inflight_batches: int = DEFAULT_MAX_INFLIGHT_BATCHES,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -243,14 +241,7 @@ class AggregationGateway:
         # an RNG: N = round(1/fraction), 0 disables timing entirely.
         self._sample_every = 0 if sample <= 0 else max(1, round(1.0 / sample))
         self._engine = get_backend(decode_backend, decode_workers)
-        # The engine instance is shared with the server (instance-passed
-        # engines stay caller-owned), so OLH decode shards and frame
-        # decoding draw from one worker pool.
-        self.server = AggregationServer(
-            decode_backend=self._engine,
-            n_decode_shards=n_decode_shards,
-            metrics=self.metrics,
-        )
+        self.server = AggregationServer(metrics=self.metrics)
         m = self.metrics
         self._m_connections_total = m.counter("gateway_connections_total")
         self._m_connections_live = m.gauge("gateway_connections_live")
@@ -267,8 +258,8 @@ class AggregationGateway:
         self._m_shards_exported = m.counter("gateway_shards_exported_total")
         # All mutations of the inner server run on this one worker — the
         # serialization the accounting needs — while the event loop stays
-        # free to read frames and send acks even when an accumulate blocks
-        # on the engine (OLH's sharded decode is a full candidate scan).
+        # free to read frames and send acks.  Decoding and counting happen
+        # on the engine; this worker only adds count vectors.
         self._accumulator = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-gateway-accumulate"
         )
@@ -318,7 +309,6 @@ class AggregationGateway:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._accumulator.shutdown(wait=True)
         self._engine.shutdown()
-        self.server.shutdown()
         if self._owns_tracer and self.tracer is not None:
             self.tracer.close()
         if self._stopped is not None:

@@ -109,8 +109,6 @@ def run_scenario(
     seed: RandomState = 0,
     store=None,
     detection_recall: float = 0.5,
-    backend: str | None = None,
-    max_workers: int | None = None,
     defense: str | None = None,
     defense_fraction: float = 0.25,
     report_batch_size: int | None = None,
@@ -125,7 +123,7 @@ def run_scenario(
     config:
         Full protocol configuration; when given it must carry the
         scenario's ``n_bits``.  The remaining protocol knobs
-        (``epsilon``/``oracle``/``granularity``/``backend``/``defense``/
+        (``epsilon``/``oracle``/``granularity``/``defense``/
         ``report_batch_size``) build one when it is ``None``.
     window_batches / stride:
         Tracker cadence (see :class:`SlidingWindowDiscovery`).
@@ -156,8 +154,6 @@ def run_scenario(
             granularity=min(levels, scenario.n_bits),
             oracle=oracle,
             simulation_mode="per_user",
-            backend=backend or "serial",
-            max_workers=max_workers,
             defense=defense,
             defense_fraction=defense_fraction,
             report_batch_size=report_batch_size,
@@ -186,29 +182,28 @@ def run_scenario(
     )
     drift_events = scenario.drift_steps()
     records: list[dict] = []
-    with tracker:
-        for batch in scenario.iter_batches(stream_seed):
-            snapshot = tracker.push(batch.items)
-            if snapshot is None:
-                continue
-            scores = score_series(
-                [(snapshot.step, snapshot.heavy_hitters)],
-                {snapshot.step: batch.true_top_k},
-            )[0]
-            past_events = [s for s in drift_events if s <= snapshot.step]
-            record = {
-                **scores,
-                "window_users": int(snapshot.n_users),
-                "since_drift": snapshot.step - past_events[-1] if past_events else None,
-                "n_poisoned": int(batch.n_poisoned),
-                "upload_bits": int(snapshot.upload_bits),
-                "broadcast_bits": int(snapshot.broadcast_bits),
-                "heavy_hitters": [int(item) for item in snapshot.heavy_hitters],
-                "true_top_k": [int(item) for item in batch.true_top_k],
-            }
-            records.append(record)
-            if store is not None:
-                store.append(record)
+    for batch in scenario.iter_batches(stream_seed):
+        snapshot = tracker.push(batch.items)
+        if snapshot is None:
+            continue
+        scores = score_series(
+            [(snapshot.step, snapshot.heavy_hitters)],
+            {snapshot.step: batch.true_top_k},
+        )[0]
+        past_events = [s for s in drift_events if s <= snapshot.step]
+        record = {
+            **scores,
+            "window_users": int(snapshot.n_users),
+            "since_drift": snapshot.step - past_events[-1] if past_events else None,
+            "n_poisoned": int(batch.n_poisoned),
+            "upload_bits": int(snapshot.upload_bits),
+            "broadcast_bits": int(snapshot.broadcast_bits),
+            "heavy_hitters": [int(item) for item in snapshot.heavy_hitters],
+            "true_top_k": [int(item) for item in batch.true_top_k],
+        }
+        records.append(record)
+        if store is not None:
+            store.append(record)
     events = []
     scored = [(r["step"], r["recall"]) for r in records]
     for event_step in drift_events:
@@ -256,8 +251,6 @@ def run_scenario_spec(
     seed: RandomState = 0,
     store=None,
     detection_recall: float = 0.5,
-    backend: str | None = None,
-    max_workers: int | None = None,
     defense: str | None = None,
     defense_fraction: float = 0.25,
     report_batch_size: int | None = None,
@@ -277,8 +270,6 @@ def run_scenario_spec(
         seed=seed,
         store=store,
         detection_recall=detection_recall,
-        backend=backend,
-        max_workers=max_workers,
         defense=defense,
         defense_fraction=defense_fraction,
         report_batch_size=report_batch_size,

@@ -10,8 +10,8 @@ server memory is ``O(domain_size)``:
 * :mod:`repro.service.protocol` — canonical byte codecs for report batches
   and round broadcasts; exact wire sizes feed the federation transcript;
 * :mod:`repro.service.shards` — mergeable per-level support-count
-  accumulators (associative :meth:`~shards.LevelShard.merge`), with OLH
-  decoding sharded over candidate ranges on the execution engine;
+  accumulators (associative :meth:`~shards.LevelShard.merge`); every
+  batch folds in as its ``support_counts`` vector;
 * :mod:`repro.service.server` — :class:`AggregationServer` round lifecycle
   plus :class:`ServiceRoundRunner`, the estimation-seam adapter that turns
   ``MechanismConfig(execution_mode="service")`` into end-to-end streamed
@@ -49,7 +49,7 @@ from repro.service.server import (
     ServiceRoundRunner,
     run_in_service_mode,
 )
-from repro.service.shards import LevelShard, OLHDecodeShard, ShardError, make_shard
+from repro.service.shards import LevelShard, ShardError
 from repro.service.streaming import SlidingWindowDiscovery, WindowSnapshot
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "AggregationServer",
     "ClientPool",
     "LevelShard",
-    "OLHDecodeShard",
     "REPORT_CODECS",
     "ReportBatch",
     "RoundBroadcast",
@@ -75,7 +74,6 @@ __all__ = [
     "encode_broadcast",
     "encode_report_batch",
     "iter_perturbed_batches",
-    "make_shard",
     "register_report_codec",
     "run_in_service_mode",
     "serve_dataset",

@@ -132,8 +132,6 @@ def serve_dataset(
     users_per_round: int | None = None,
     top: int = 10,
     seed: RandomState = None,
-    decode_backend: str | None = None,
-    decode_workers: int | None = None,
 ) -> ServeReport:
     """Stream ``rounds`` full service rounds for every party of a dataset.
 
@@ -168,9 +166,7 @@ def serve_dataset(
     # is a function of the seed alone, never of streaming order.
     seeds = iter(spawn_seeds(gen, rounds * len(pools)))
 
-    server = AggregationServer(
-        decode_backend=decode_backend, decode_workers=decode_workers
-    )
+    server = AggregationServer()
     report = ServeReport(
         dataset=dataset.name,
         oracle=oracle,
@@ -178,46 +174,43 @@ def serve_dataset(
         level=int(level),
         batch_size=int(batch_size),
     )
-    try:
-        for round_index in range(rounds):
-            for pool in pools:
-                round_seed = next(seeds)
-                round_gen = np.random.default_rng(round_seed)
-                fo = make_oracle(oracle, epsilon)
-                round_id = server.open_round(
-                    party=pool.name, level=level, oracle=fo, domain=domain
+    for round_index in range(rounds):
+        for pool in pools:
+            round_seed = next(seeds)
+            round_gen = np.random.default_rng(round_seed)
+            fo = make_oracle(oracle, epsilon)
+            round_id = server.open_round(
+                party=pool.name, level=level, oracle=fo, domain=domain
+            )
+            user_indices = (
+                pool.draw_users(users_per_round, round_gen)
+                if users_per_round is not None
+                else None
+            )
+            n_users = 0
+            for batch in pool.iter_report_batches(
+                fo, domain, dataset.n_bits, round_gen, user_indices=user_indices
+            ):
+                n_users += batch.n_users
+                server.ingest_batch(round_id, batch)
+            estimate = server.finalize_round(round_id)
+            round_state = server.rounds[round_id]
+            counts = estimate.estimated_counts[: domain.n_candidates]
+            order = np.argsort(counts)[::-1][:top]
+            prefixes = domain.prefixes
+            report.rounds.append(
+                RoundReport(
+                    round_index=round_index,
+                    party=pool.name,
+                    level=level,
+                    n_users=n_users,
+                    n_batches=round_state.n_batches,
+                    domain_size=domain.size,
+                    upload_bits=round_state.upload_bits,
+                    broadcast_bits=round_state.broadcast_bits,
+                    top_prefixes=tuple(
+                        (prefixes[i], float(counts[i])) for i in order
+                    ),
                 )
-                user_indices = (
-                    pool.draw_users(users_per_round, round_gen)
-                    if users_per_round is not None
-                    else None
-                )
-                n_users = 0
-                for batch in pool.iter_report_batches(
-                    fo, domain, dataset.n_bits, round_gen, user_indices=user_indices
-                ):
-                    n_users += batch.n_users
-                    server.ingest_batch(round_id, batch)
-                estimate = server.finalize_round(round_id)
-                round_state = server.rounds[round_id]
-                counts = estimate.estimated_counts[: domain.n_candidates]
-                order = np.argsort(counts)[::-1][:top]
-                prefixes = domain.prefixes
-                report.rounds.append(
-                    RoundReport(
-                        round_index=round_index,
-                        party=pool.name,
-                        level=level,
-                        n_users=n_users,
-                        n_batches=round_state.n_batches,
-                        domain_size=domain.size,
-                        upload_bits=round_state.upload_bits,
-                        broadcast_bits=round_state.broadcast_bits,
-                        top_prefixes=tuple(
-                            (prefixes[i], float(counts[i])) for i in order
-                        ),
-                    )
-                )
-    finally:
-        server.shutdown()
+            )
     return report

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.core.estimation import RoundRunner
-from repro.engine import ExecutionBackend, get_backend
 from repro.federation.messages import Message, MessageDirection
 from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.ldp.registry import make_oracle
@@ -39,7 +38,7 @@ from repro.service.protocol import (
     encode_report_batch,
     wire_bits,
 )
-from repro.service.shards import LevelShard, make_shard
+from repro.service.shards import LevelShard
 
 
 #: Structured error codes a :class:`ServiceError` can carry.  The network
@@ -201,16 +200,6 @@ class AggregationServer:
 
     Parameters
     ----------
-    decode_backend:
-        Execution backend (name or instance) for sharded OLH decoding;
-        ``None`` decodes inline.  A name is resolved lazily, once, and the
-        resulting engine is shared by every round's shard; instances are
-        used as-is (their lifecycle stays with the caller).
-    decode_workers:
-        Worker count when resolving a named decode backend.
-    n_decode_shards:
-        Candidate ranges per OLH decode (see
-        :class:`~repro.service.shards.OLHDecodeShard`).
     defense:
         Optional robust-merge policy applied to every round's shard
         (see :meth:`repro.service.shards.LevelShard.effective_counts`).
@@ -247,26 +236,13 @@ class AggregationServer:
     True
     """
 
-    def __init__(
-        self,
-        *,
-        decode_backend: str | ExecutionBackend | None = None,
-        decode_workers: int | None = None,
-        n_decode_shards: int = 8,
-        defense=None,
-        metrics=None,
-    ):
-        self.decode_backend = decode_backend
-        self.decode_workers = decode_workers
-        self.n_decode_shards = n_decode_shards
+    def __init__(self, *, defense=None, metrics=None):
         self.defense = defense
         self.rounds: dict[int, ServiceRound] = {}
         self._messages: list[Message] = []
         self._next_round_id = 0
         self._upload_bits = 0
         self._broadcast_bits = 0
-        self._decode_engine: ExecutionBackend | None = None
-        self._owns_decode_engine = False
         self._bind_metrics(metrics)
 
     def _bind_metrics(self, metrics) -> None:
@@ -291,39 +267,17 @@ class AggregationServer:
         self._m_broadcast_bits = metrics.counter("service_broadcast_bits_total")
 
     def __getstate__(self):
-        # Live executors don't pickle; workers re-resolve the spec lazily
-        # (nested "process" requests degrade to serial there as usual).
-        # Metric instruments carry locks, which don't pickle either: a
-        # copy observes into its own fresh (unbound) state.
+        # Metric instruments carry locks, which don't pickle: a copy
+        # observes into its own fresh (unbound) state.
         state = self.__dict__.copy()
-        state["_decode_engine"] = None
-        state["_owns_decode_engine"] = False
-        if isinstance(state["decode_backend"], ExecutionBackend):
-            state["decode_backend"] = state["decode_backend"].name
         for key in list(state):
             if key == "metrics" or key.startswith("_m_"):
                 state[key] = None
         return state
 
-    def _resolve_decode_engine(self) -> ExecutionBackend | None:
-        if self.decode_backend is None:
-            return None
-        if self._decode_engine is None:
-            if isinstance(self.decode_backend, ExecutionBackend):
-                self._decode_engine = self.decode_backend
-            else:
-                self._decode_engine = get_backend(
-                    self.decode_backend, self.decode_workers
-                )
-                self._owns_decode_engine = True
-        return self._decode_engine
-
     def shutdown(self) -> None:
-        """Release a decode engine this server resolved from a name."""
-        if self._owns_decode_engine and self._decode_engine is not None:
-            self._decode_engine.shutdown()
-        self._decode_engine = None
-        self._owns_decode_engine = False
+        """Nothing to release: part of the server protocol a
+        :class:`~repro.cluster.coordinator.ClusterCoordinator` shares."""
 
     # ------------------------------------------------------------------ #
     # Round lifecycle
@@ -340,18 +294,7 @@ class AggregationServer:
         """
         round_id = self._next_round_id
         self._next_round_id += 1
-        # Only OLH decoding shards; resolving the engine lazily here keeps
-        # every other oracle from ever materialising a worker pool.
-        decode_engine = (
-            self._resolve_decode_engine() if oracle.name == "olh" else None
-        )
-        shard = make_shard(
-            oracle,
-            domain.size,
-            decode_backend=decode_engine,
-            n_decode_shards=self.n_decode_shards,
-            defense=self.defense,
-        )
+        shard = LevelShard(oracle, domain.size, defense=self.defense)
         broadcast = RoundBroadcast(
             party=party,
             level=int(level),
@@ -416,25 +359,11 @@ class AggregationServer:
         # Round-state errors take precedence over codec errors (and save
         # the decode work): a corrupt payload for a closed round reports
         # the closed round, as it always has.
-        self.check_open(round_id)
-        return self.ingest_decoded(
-            round_id, decode_report_batch(payload), payload_bits=wire_bits(payload)
-        )
-
-    def ingest_decoded(
-        self, round_id: int, batch: ReportBatch, *, payload_bits: int
-    ) -> int:
-        """Fold an already-decoded batch into a round, accounted at ``payload_bits``.
-
-        The accumulate-and-account half of :meth:`ingest`.
-        ``payload_bits`` must be the exact wire size of the batch's
-        canonical encoding, which keeps the accounting identical to
-        :meth:`ingest`.
-        """
         round_ = self._round(round_id)
+        batch = decode_report_batch(payload)
         self._validate_batch(round_, batch)
         n = round_.shard.ingest(batch.reports)
-        self._account_batch(round_, batch.party, payload_bits)
+        self._account_batch(round_, batch.party, wire_bits(payload))
         if self._m_reports is not None:
             self._m_reports.inc(n)
         return n
@@ -479,29 +408,6 @@ class AggregationServer:
     def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
         """Encode a batch to wire bytes and ingest it (bytes always counted)."""
         return self.ingest(round_id, encode_report_batch(batch))
-
-    def merge_shard(self, round_id: int, shard: LevelShard, *, party: str) -> None:
-        """Merge a pre-aggregated edge shard into a round.
-
-        The hierarchical path: an edge aggregator ships its ``O(domain)``
-        count vector instead of raw batches.  Accounted at the vector's
-        exact size (64-bit counts).
-        """
-        round_ = self._round(round_id)
-        round_.shard.merge(shard)
-        bits = int(shard.counts.nbytes) * 8
-        round_.n_batches += shard.n_batches
-        round_.upload_bits += bits
-        self._upload_bits += bits
-        self._messages.append(
-            Message(
-                direction=MessageDirection.PARTY_TO_SERVER,
-                party=party,
-                kind="shard_merge",
-                payload_bits=bits,
-                level=round_.level,
-            )
-        )
 
     @staticmethod
     def _validate_batch(round_: ServiceRound, batch: ReportBatch) -> None:

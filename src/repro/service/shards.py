@@ -8,21 +8,18 @@ ingesting a report stream whole, in any batching, or in separately-built
 shards that are merged afterwards all produce identical counts (the algebra
 ``tests/test_service_shards.py`` pins down).
 
-OLH is the computation-heavy oracle (decoding a batch costs a full candidate
-scan), so :class:`OLHDecodeShard` additionally splits the candidate domain
-into contiguous ranges and decodes them as independent tasks on an execution
-backend (:mod:`repro.engine`).  Counts are exact integers, so the sharded
-decode is bit-identical on every backend.
+Every fold goes through one path, :meth:`LevelShard.ingest_counts`: a
+decoded batch is first reduced to its ``oracle.support_counts`` vector (the
+packed popcount for unary oracles, the blocked hash scan for OLH), exactly
+what a gateway worker ships as a batch summary
+(:mod:`repro.service.columnar`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import ExecutionBackend, get_backend, split_ranges
 from repro.ldp.base import FrequencyOracle
-from repro.ldp.olh import OptimizedLocalHashing
-from repro.ldp.packed import PackedUnaryReports
 
 
 class ShardError(ValueError):
@@ -69,41 +66,22 @@ class LevelShard:
     # ------------------------------------------------------------------ #
     def ingest(self, reports: object) -> int:
         """Fold one report batch into the accumulator; returns its size."""
-        n = self.oracle.n_reports(reports)
-        decoded = self._decode(reports)
-        if self._sources is not None:
-            self._sources.append((decoded - self.counts, n))
-        self.counts = decoded
-        self.n_users += n
-        self.n_batches += 1
-        return n
+        return self.ingest_counts(
+            self.oracle.support_counts(reports, self.domain_size),
+            self.oracle.n_reports(reports),
+        )
 
-    def _decode(self, reports: object) -> np.ndarray:
-        if isinstance(reports, PackedUnaryReports):
-            # Columnar hot path: fold the packed wire form directly.  The
-            # base-class implementation of ``accumulate_packed`` unpacks
-            # first, so every oracle keeps working — unary oracles just
-            # skip the (n, d) matrix entirely.
-            return self.oracle.accumulate_packed(
-                self.counts, reports, self.domain_size
-            )
-        return self.oracle.accumulate(self.counts, reports, self.domain_size)
+    def ingest_counts(self, counts: np.ndarray, n_users: int) -> int:
+        """Fold exact support counts into the accumulator; returns ``n_users``.
 
-    def ingest_counts(
-        self, counts: np.ndarray, n_users: int, *, n_batches: int = 1
-    ) -> int:
-        """Fold pre-computed exact support counts into the accumulator.
-
-        The server-side half of the columnar decode fan-out: an engine
-        worker summarises a wire batch into its ``O(domain_size)`` count
-        vector (:mod:`repro.service.columnar`) and only that vector
-        reaches the shard.  Counts are exact integers, so this is
-        bit-identical to :meth:`ingest` of the batch it summarises.
+        The one fold of the shard: :meth:`ingest` counts a decoded batch
+        and lands here, and so does a gateway worker's batch summary
+        (:mod:`repro.service.columnar`), so the two paths cannot differ.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self.domain_size,):
             raise ShardError(
-                f"summary counts have shape {counts.shape}, "
+                f"support counts have shape {counts.shape}, "
                 f"expected ({self.domain_size},)"
             )
         n = int(n_users)
@@ -113,7 +91,7 @@ class LevelShard:
             self._sources.append((counts.copy(), n))
         self.counts = self.oracle.merge_counts(self.counts, counts)
         self.n_users += n
-        self.n_batches += int(n_batches)
+        self.n_batches += 1
         return n
 
     # ------------------------------------------------------------------ #
@@ -171,98 +149,3 @@ class LevelShard:
             f"{type(self).__name__}(oracle={self.oracle.name!r}, "
             f"domain_size={self.domain_size}, n_users={self.n_users})"
         )
-
-
-def _decode_olh_range(task: tuple) -> np.ndarray:
-    """Decode one candidate range of an OLH batch (module-level: picklable)."""
-    epsilon, seeds, ys, start, stop = task
-    oracle = OptimizedLocalHashing(epsilon)
-    return oracle.support_counts_range((seeds, ys), start, stop)
-
-
-class OLHDecodeShard(LevelShard):
-    """An OLH shard that decodes batches in candidate shards on a backend.
-
-    Parameters
-    ----------
-    backend:
-        Backend name or instance for the per-range decode tasks (``None``:
-        serial).  The live backend never travels through pickling — workers
-        re-resolve the spec, degrading nested ``"process"`` requests to
-        serial as usual.
-    n_decode_shards:
-        Number of candidate ranges per batch (default 8, capped at the
-        domain size by :func:`repro.engine.split_ranges`).
-    """
-
-    def __init__(
-        self,
-        oracle: OptimizedLocalHashing,
-        domain_size: int,
-        *,
-        backend: str | ExecutionBackend | None = None,
-        n_decode_shards: int = 8,
-        defense=None,
-    ):
-        super().__init__(oracle, domain_size, defense=defense)
-        if n_decode_shards < 1:
-            raise ShardError(f"n_decode_shards must be positive, got {n_decode_shards}")
-        self.n_decode_shards = int(n_decode_shards)
-        if isinstance(backend, ExecutionBackend):
-            self._backend_spec = backend.name
-            self._backend_workers = getattr(backend, "max_workers", None)
-            self._backend: ExecutionBackend | None = backend
-        else:
-            self._backend_spec = backend
-            self._backend_workers = None
-            self._backend = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_backend"] = None  # live executors don't pickle; respawn lazily
-        return state
-
-    def _engine(self) -> ExecutionBackend:
-        if self._backend is None:
-            self._backend = get_backend(self._backend_spec, self._backend_workers)
-        return self._backend
-
-    def _decode(self, reports: object) -> np.ndarray:
-        seeds, ys = reports
-        # Wire-decoded views go into the tasks as-is (the range decoder
-        # consumes any integer dtype); copying to int64 here would undo
-        # the zero-copy decode for every batch.
-        seeds = np.asarray(seeds)
-        ys = np.asarray(ys)
-        tasks = [
-            (self.oracle.epsilon, seeds, ys, start, stop)
-            for start, stop in split_ranges(self.domain_size, self.n_decode_shards)
-        ]
-        parts = self._engine().map_tasks(_decode_olh_range, tasks)
-        return self.counts + np.concatenate(parts)
-
-
-def make_shard(
-    oracle: FrequencyOracle,
-    domain_size: int,
-    *,
-    decode_backend: str | ExecutionBackend | None = None,
-    n_decode_shards: int = 8,
-    defense=None,
-) -> LevelShard:
-    """Build the right shard for ``oracle`` over a ``domain_size`` domain.
-
-    A ``decode_backend`` only matters for OLH, the one oracle whose decode
-    is heavy enough to shard; every other oracle accumulates inline.
-    ``defense`` opts the shard into a robust (non-linear) merge of its
-    ingested batches — see :meth:`LevelShard.effective_counts`.
-    """
-    if oracle.name == OptimizedLocalHashing.name and decode_backend is not None:
-        return OLHDecodeShard(
-            oracle,
-            domain_size,
-            backend=decode_backend,
-            n_decode_shards=n_decode_shards,
-            defense=defense,
-        )
-    return LevelShard(oracle, domain_size, defense=defense)

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.config import DEFAULT_REPORT_BATCH_SIZE, MechanismConfig
 from repro.core.estimation import PartyEstimator
-from repro.engine import ExecutionBackend, get_backend
 from repro.federation.party import Party
 from repro.service.server import AggregationServer, ServiceRoundRunner
 from repro.utils.rng import RandomState, as_generator, spawn_seeds
@@ -91,7 +90,6 @@ class SlidingWindowDiscovery:
         self._window: deque[np.ndarray] = deque(maxlen=self.window_batches)
         self._step = 0
         self.snapshots: list[WindowSnapshot] = []
-        self._decode_engine: ExecutionBackend | None = None
 
     # ------------------------------------------------------------------ #
     # Stream interface
@@ -136,51 +134,13 @@ class SlidingWindowDiscovery:
         """The most recent snapshot, if any pass has run."""
         return self.snapshots[-1] if self.snapshots else None
 
-    def close(self) -> None:
-        """Release the decode engine, if any pass resolved one.
-
-        Only needed for parallel backends with the OLH oracle (the sole
-        combination that materialises a worker pool); a no-op otherwise.
-        """
-        if self._decode_engine is not None:
-            self._decode_engine.shutdown()
-            self._decode_engine = None
-
-    def __enter__(self) -> "SlidingWindowDiscovery":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Discovery pass
     # ------------------------------------------------------------------ #
-    def _decode_backend(self) -> ExecutionBackend | None:
-        """The config's execution backend, resolved once for all passes.
-
-        OLH decoding fans out over candidate ranges; sharing one engine
-        across the tracker's lifetime avoids a pool spawn per snapshot on
-        the streaming hot path.  A pure execution knob: every backend
-        yields bit-identical snapshots.  Oracles other than OLH never
-        touch the engine, so none is resolved for them.
-        """
-        if self.config.backend == "serial" or self.oracle.name != "olh":
-            return None
-        if self._decode_engine is None:
-            self._decode_engine = get_backend(
-                self.config.backend, self.config.max_workers
-            )
-        return self._decode_engine
-
     def _discover(self) -> WindowSnapshot:
         items = np.concatenate(list(self._window))
         party = Party(name="window", items=items)
-        # A caller-owned engine instance (or None): the per-pass server
-        # never owns a pool, so no per-pass shutdown is needed.
-        server = AggregationServer(
-            decode_backend=self._decode_backend(),
-            defense=self.config.defense_policy(),
-        )
+        server = AggregationServer(defense=self.config.defense_policy())
         runner = ServiceRoundRunner(
             server=server,
             party="window",

@@ -294,6 +294,14 @@ class TestServeScenario:
         assert main(["serve", "--scenario", str(path)]) == 2
         assert "uniform" in capsys.readouterr().err
 
+    def test_backend_flags_are_gateway_only_in_scenario_mode(self, tmp_path, capsys):
+        # The tracker counts every batch with one support-count scan: an
+        # engine flag outside --listen would be silently meaningless.
+        spec = self.write_scenario(tmp_path)
+        assert main(self.args(spec) + ["--backend", "thread"]) == 2
+        err = capsys.readouterr().err
+        assert "--backend" in err and "--listen" in err
+
     def test_raw_round_flags_are_rejected_in_scenario_mode(self, tmp_path, capsys):
         # Flags the scenario run would silently ignore must fail loudly.
         spec = self.write_scenario(tmp_path)
@@ -474,6 +482,12 @@ class TestServeListen:
     def test_gateway_only_flags_require_listen(self, capsys):
         assert main(["serve", "--credits", "4"]) == 2
         assert "--listen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--backend", "thread"], ["--workers", "2"]])
+    def test_backend_flags_require_listen_in_raw_mode(self, flags, capsys):
+        assert main(["serve", "--smoke", *flags]) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--listen" in err
 
     def test_listen_rejects_round_flags(self, capsys):
         assert main(["serve", "--listen", "127.0.0.1:0", "--rounds", "3"]) == 2

@@ -305,6 +305,14 @@ class TestLoadgenSpec:
         with pytest.raises(SpecError, match=rf"unknown cluster.*'{key}'"):
             LoadgenSpec.from_dict(stale, source="stale.yaml")
 
+    def test_stale_decode_shard_key_fails_loudly(self):
+        # The gateway counts each batch with one support-count scan; a spec
+        # that still sets the old candidate-range split must not run as if
+        # it applied.
+        stale = {**LOADGEN_DICT, "gateway": {"n_decode_shards": 8}}
+        with pytest.raises(SpecError, match=r"unknown gateway.*'n_decode_shards'"):
+            LoadgenSpec.from_dict(stale, source="stale.yaml")
+
     @pytest.mark.parametrize("form", [True, {}, "turbo"])
     def test_every_form_of_the_adaptive_block_fails_loudly(self, form):
         # `adaptive: true` was the default-config shorthand and `{}` an

@@ -103,27 +103,33 @@ class TestVectorizedDecode:
             fast, self._reference_support_counts(oracle, reports, domain_size)
         )
 
-    def test_chunking_boundaries_are_exact(self, monkeypatch):
-        """Force tiny candidate chunks; results must not change."""
+    # 301: tiny candidate chunks; 1 << 15: the shipped block; 1 << 18: a
+    # block past a per-core L2.  The block is a cache knob: counts never change.
+    @pytest.mark.parametrize("block", [301, 1 << 15, 1 << 18])
+    def test_chunking_boundaries_are_exact(self, monkeypatch, block):
         from repro.ldp import olh as olh_module
 
         oracle = OptimizedLocalHashing(epsilon=2.0)
         values = np.random.default_rng(2).integers(0, 50, size=300)
         reports = oracle.perturb(values, 50, np.random.default_rng(3))
-        full = oracle.support_counts(reports, 50)
-        monkeypatch.setattr(olh_module, "_DECODE_BLOCK_ELEMENTS", 301)
-        assert np.array_equal(oracle.support_counts(reports, 50), full)
+        reference = self._reference_support_counts(oracle, reports, 50)
+        monkeypatch.setattr(olh_module, "_DECODE_BLOCK_ELEMENTS", block)
+        assert np.array_equal(oracle.support_counts(reports, 50), reference)
 
-    def test_range_decode_concatenates_to_full(self):
+    @pytest.mark.parametrize("block", [301, 1 << 15, 1 << 18])
+    def test_range_decode_concatenates_to_full(self, monkeypatch, block):
+        from repro.ldp import olh as olh_module
+
         oracle = OptimizedLocalHashing(epsilon=2.0)
         values = np.random.default_rng(4).integers(0, 64, size=500)
         reports = oracle.perturb(values, 64, np.random.default_rng(5))
-        full = oracle.support_counts(reports, 64)
+        reference = self._reference_support_counts(oracle, reports, 64)
+        monkeypatch.setattr(olh_module, "_DECODE_BLOCK_ELEMENTS", block)
         parts = [
             oracle.support_counts_range(reports, start, stop)
             for start, stop in [(0, 10), (10, 41), (41, 64)]
         ]
-        assert np.array_equal(np.concatenate(parts), full)
+        assert np.array_equal(np.concatenate(parts), reference)
 
     def test_empty_batch(self):
         oracle = OptimizedLocalHashing(epsilon=2.0)

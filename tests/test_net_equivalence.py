@@ -62,7 +62,7 @@ def _assert_bit_identical(service, network):
 
 
 #: (mechanism, oracle): TAP over k-RR plus an OLH-decoding mechanism —
-#: OLH exercises the gateway's sharded decode path end to end.
+#: OLH exercises the gateway's full candidate-scan decode end to end.
 CASES = [(TAPMechanism, "krr"), (TAPSMechanism, "olh")]
 
 

@@ -212,7 +212,7 @@ class TestStructuredErrors:
         [
             ("epsilon", -1.0),       # check_positive refuses
             ("epsilon", 0.0),
-            ("domain_size", 0),      # make_shard refuses
+            ("domain_size", 0),      # LevelShard refuses
             ("oracle_name", "mystery"),  # no such oracle registered
         ],
     )

@@ -1,9 +1,9 @@
-"""The robustness harness: snapshot scoring, backend determinism, stores.
+"""The robustness harness: snapshot scoring, determinism, stores.
 
-The backbone invariant mirrors ``test_service_equivalence.py``: execution
-backends are a pure knob, so a scenario run with the same seed produces a
-bit-identical snapshot-record sequence on the serial and thread backends
-— and, store included, byte-identical persisted files.
+The backbone invariant mirrors ``test_service_equivalence.py``: a scenario
+run with the same seed produces a bit-identical snapshot-record sequence
+— and, store included, byte-identical persisted files — whatever
+execution backend its config names.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.config import MechanismConfig
 from repro.experiments.store import ScenarioSnapshotStore, StoreError
 from repro.metrics.robustness import detection_latency, score_series
 from repro.scenarios import (
@@ -86,8 +87,6 @@ class TestRunScenario:
         assert "drift @ step 5" in text and "precision" in text
 
     def test_explicit_config_must_match_the_domain(self):
-        from repro.core.config import MechanismConfig
-
         config = MechanismConfig(
             k=3, epsilon=6.0, n_bits=12, granularity=3, simulation_mode="per_user"
         )
@@ -103,20 +102,28 @@ class TestRunScenario:
 
 
 class TestBackendDeterminism:
-    """Same seed ⇒ bit-identical snapshot records on every backend."""
+    """Same seed ⇒ bit-identical snapshot records."""
 
-    def test_thread_backend_matches_serial(self):
-        serial = _run(seed=42)
-        threaded = _run(seed=42, backend="thread", max_workers=2)
+    def test_config_backend_does_not_change_olh_records(self):
+        # Every tracker pass counts each batch with one support-count scan
+        # (OLH's is the heavy one); a config's backend runs no part of it.
+        scenario = _scenario(n_steps=4)
+        config = MechanismConfig(
+            k=3, epsilon=6.0, n_bits=8, granularity=3, oracle="olh",
+            simulation_mode="per_user",
+        )
+        serial = _run(scenario, config=config, seed=11)
+        threaded = _run(
+            scenario,
+            config=config.with_updates(backend="thread", max_workers=2),
+            seed=11,
+        )
         assert threaded.records == serial.records
         assert threaded.events == serial.events
 
-    def test_thread_backend_matches_serial_under_olh(self):
-        # OLH is the oracle whose decode actually fans out on the engine.
-        scenario = _scenario(n_steps=4)
-        serial = _run(scenario, oracle="olh", seed=11)
-        threaded = _run(scenario, oracle="olh", seed=11, backend="thread", max_workers=2)
-        assert threaded.records == serial.records
+    def test_run_scenario_has_no_backend_knob(self):
+        with pytest.raises(TypeError, match="backend"):
+            _run(backend="thread")
 
     def test_same_seed_same_records(self):
         assert _run(seed=7).records == _run(seed=7).records

@@ -16,7 +16,6 @@ from repro.service.server import (
     ServiceRoundRunner,
     run_in_service_mode,
 )
-from repro.service.shards import make_shard
 from repro.trie.candidate_domain import CandidateDomain
 
 
@@ -97,25 +96,6 @@ class TestAccounting:
         assert server.broadcast_bits() > 0
         drained = server.drain_messages()
         assert len(drained) == 4 and server.messages == []
-
-    def test_merge_shard_path(self):
-        oracle = make_oracle("krr", epsilon=2.0)
-        domain = _domain(4)
-        values = np.random.default_rng(0).integers(0, domain.size, size=200)
-        reports = oracle.perturb(values, domain.size, np.random.default_rng(1))
-        edge = make_shard(oracle, domain.size)
-        edge.ingest(reports)
-        server = AggregationServer()
-        round_id = server.open_round(party="a", level=4, oracle=oracle, domain=domain)
-        server.merge_shard(round_id, edge, party="edge-0")
-        result = server.finalize_round(round_id)
-        assert result.n_users == 200
-        assert result.metadata["n_batches"] == edge.n_batches == 1
-        assert np.array_equal(
-            result.support_counts, oracle.support_counts(reports, domain.size)
-        )
-        merge_messages = [m for m in server.messages if m.kind == "shard_merge"]
-        assert merge_messages and merge_messages[0].payload_bits == domain.size * 64
 
     def test_totals_survive_drain_and_shards_are_released(self):
         oracle = make_oracle("krr", epsilon=2.0)
@@ -256,32 +236,6 @@ class TestStructuredErrorCodes:
                 _domain(3), np.random.default_rng(0), mode="aggregate",
             )
         assert excinfo.value.code == "bad_mode"
-
-
-class TestIngestDecoded:
-    def test_matches_ingest_accounting_exactly(self):
-        """The gateway's decode/accumulate seam is account-identical."""
-        from repro.service.protocol import decode_report_batch, wire_bits
-
-        helper = TestProtocolErrors()
-        oracle = make_oracle("krr", epsilon=2.0)
-        domain = _domain(3)
-        payload = helper._payload(oracle, domain)
-
-        whole, split = AggregationServer(), AggregationServer()
-        rid_whole = whole.open_round(party="a", level=3, oracle=oracle, domain=domain)
-        rid_split = split.open_round(party="a", level=3, oracle=oracle, domain=domain)
-        assert whole.ingest(rid_whole, payload) == split.ingest_decoded(
-            rid_split, decode_report_batch(payload), payload_bits=wire_bits(payload)
-        )
-        assert whole.upload_bits() == split.upload_bits()
-        assert [
-            (m.kind, m.party, m.payload_bits, m.level) for m in whole.messages
-        ] == [(m.kind, m.party, m.payload_bits, m.level) for m in split.messages]
-        a = whole.finalize_round(rid_whole)
-        b = split.finalize_round(rid_split)
-        assert a.metadata == b.metadata
-        np.testing.assert_array_equal(a.support_counts, b.support_counts)
 
 
 class TestClientPool:

@@ -1,14 +1,23 @@
 """Shard merge algebra: any partition of a report batch ingests to the same
-counts as the whole, for every registered oracle."""
+counts as the whole, for every registered oracle.
+
+A shard folds counts one way only: ``ingest(reports)`` is
+``ingest_counts(oracle.support_counts(reports))``, the same call a gateway
+worker's batch summary lands in.  :class:`TestOneFold` pins that fold
+against the oracle's own accumulator for every report form.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine import SerialBackend, ThreadBackend
+from repro.faults.defense import RobustMergePolicy
+from repro.ldp import olh as olh_module
+from repro.ldp.packed import PackedUnaryReports
 from repro.ldp.registry import available_oracles, make_oracle
-from repro.service.shards import LevelShard, OLHDecodeShard, ShardError, make_shard
+from repro.ldp.unary import UnaryEncodingOracle
+from repro.service.shards import LevelShard, ShardError
 
 DOMAIN = 29
 N_USERS = 400
@@ -44,13 +53,13 @@ class TestMergeAlgebra:
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_any_partition_equals_whole(self, oracle_name):
         oracle, reports = _perturbed(oracle_name)
-        whole = make_shard(oracle, DOMAIN)
+        whole = LevelShard(oracle, DOMAIN)
         whole.ingest(reports)
         rng = np.random.default_rng(11)
         for partition in _random_partitions(rng, N_USERS):
             pieces = []
             for start, stop in partition:
-                shard = make_shard(oracle, DOMAIN)
+                shard = LevelShard(oracle, DOMAIN)
                 shard.ingest(_slice_reports(reports, start, stop))
                 pieces.append(shard)
             merged = pieces[0]
@@ -62,13 +71,13 @@ class TestMergeAlgebra:
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_merge_is_commutative(self, oracle_name):
         oracle, reports = _perturbed(oracle_name)
-        left, right = make_shard(oracle, DOMAIN), make_shard(oracle, DOMAIN)
+        left, right = LevelShard(oracle, DOMAIN), LevelShard(oracle, DOMAIN)
         left.ingest(_slice_reports(reports, 0, 150))
         right.ingest(_slice_reports(reports, 150, N_USERS))
-        ab = make_shard(oracle, DOMAIN)
+        ab = LevelShard(oracle, DOMAIN)
         ab.ingest(_slice_reports(reports, 0, 150))
         ab.merge(right)
-        ba = make_shard(oracle, DOMAIN)
+        ba = LevelShard(oracle, DOMAIN)
         ba.ingest(_slice_reports(reports, 150, N_USERS))
         ba.merge(left)
         assert np.array_equal(ab.counts, ba.counts)
@@ -77,61 +86,138 @@ class TestMergeAlgebra:
     @pytest.mark.parametrize("oracle_name", available_oracles())
     def test_batched_ingest_equals_one_shot(self, oracle_name):
         oracle, reports = _perturbed(oracle_name)
-        whole = make_shard(oracle, DOMAIN)
+        whole = LevelShard(oracle, DOMAIN)
         whole.ingest(reports)
-        streamed = make_shard(oracle, DOMAIN)
+        streamed = LevelShard(oracle, DOMAIN)
         for start in range(0, N_USERS, 64):
             streamed.ingest(_slice_reports(reports, start, min(start + 64, N_USERS)))
         assert np.array_equal(streamed.counts, whole.counts)
         assert streamed.n_batches == 7
 
 
-class TestOLHShardedDecode:
-    def test_backend_decode_matches_inline(self):
-        oracle, reports = _perturbed("olh")
-        inline = make_shard(oracle, DOMAIN)
-        inline.ingest(reports)
-        for backend in (SerialBackend(), ThreadBackend(3)):
-            with backend:
-                sharded = make_shard(
-                    oracle, DOMAIN, decode_backend=backend, n_decode_shards=4
-                )
-                assert isinstance(sharded, OLHDecodeShard)
-                sharded.ingest(reports)
-                assert np.array_equal(sharded.counts, inline.counts)
+def _report_forms():
+    """(oracle name, report form) pairs: every oracle, both unary forms."""
+    for name in available_oracles():
+        if isinstance(make_oracle(name, 1.0), UnaryEncodingOracle):
+            yield name, "dense"
+            yield name, "packed"
+        else:
+            yield name, "native"
 
-    def test_sharded_decode_survives_pickle(self):
-        import pickle
 
-        oracle, reports = _perturbed("olh")
-        shard = make_shard(oracle, DOMAIN, decode_backend="thread", n_decode_shards=3)
-        shard.ingest(reports)
-        clone = pickle.loads(pickle.dumps(shard))
-        assert np.array_equal(clone.counts, shard.counts)
-        clone.ingest(reports)  # backend is respawned lazily after unpickling
-        assert clone.n_users == 2 * N_USERS
+def _batches(oracle, form: str, domain: int, sizes, seed: int = 5):
+    """Independently perturbed report batches of the given sizes."""
+    rng = np.random.default_rng(seed)
+    perturb = oracle.perturb_packed if form == "packed" else oracle.perturb
+    return [
+        perturb(rng.integers(0, domain, size=size), domain, rng) for size in sizes
+    ]
 
-    def test_non_olh_ignores_decode_backend(self):
-        oracle = make_oracle("krr", epsilon=2.0)
-        shard = make_shard(oracle, DOMAIN, decode_backend="thread")
-        assert type(shard) is LevelShard
+
+def _reference_fold(oracle, batches, domain: int) -> np.ndarray:
+    """The oracle's own accumulator, batch by batch."""
+    counts = np.zeros(domain, dtype=np.int64)
+    for reports in batches:
+        if isinstance(reports, PackedUnaryReports):
+            counts = oracle.accumulate_packed(counts, reports, domain)
+        else:
+            counts = oracle.accumulate(counts, reports, domain)
+    return counts
+
+
+class TestOneFold:
+    """``ingest`` ≡ ``ingest_counts(support_counts)`` ≡ the oracle's fold."""
+
+    SIZES = (90, 1, 250, 64, 0, 133)
+
+    def _assert_fold(self, oracle, batches, domain, *, defense=None):
+        decoded = LevelShard(oracle, domain, defense=defense)
+        counted = LevelShard(oracle, domain, defense=defense)
+        for reports in batches:
+            assert decoded.ingest(reports) == oracle.n_reports(reports)
+            counted.ingest_counts(
+                oracle.support_counts(reports, domain), oracle.n_reports(reports)
+            )
+        reference = _reference_fold(oracle, batches, domain)
+        for shard in (decoded, counted):
+            assert shard.counts.dtype == np.int64
+            assert shard.counts.tobytes() == reference.tobytes()
+            assert shard.n_users == sum(oracle.n_reports(r) for r in batches)
+            assert shard.n_batches == len(batches)
+        assert (
+            decoded.effective_counts().tobytes()
+            == counted.effective_counts().tobytes()
+        )
+        return decoded
+
+    @pytest.mark.parametrize("oracle_name,form", list(_report_forms()))
+    def test_every_report_form(self, oracle_name, form):
+        oracle = make_oracle(oracle_name, epsilon=2.5)
+        batches = _batches(oracle, form, DOMAIN, self.SIZES)
+        self._assert_fold(oracle, batches, DOMAIN)
+
+    @pytest.mark.parametrize("oracle_name,form", list(_report_forms()))
+    def test_defended_effective_counts(self, oracle_name, form):
+        oracle = make_oracle(oracle_name, epsilon=2.5)
+        batches = _batches(oracle, form, DOMAIN, self.SIZES)
+        policy = RobustMergePolicy(kind="trimmed", fraction=0.25, min_sources=4)
+        shard = self._assert_fold(oracle, batches, DOMAIN, defense=policy)
+        expected = policy.apply(
+            [oracle.support_counts(r, DOMAIN) for r in batches],
+            [oracle.n_reports(r) for r in batches],
+            DOMAIN,
+        )
+        assert shard.effective_counts().tobytes() == np.asarray(expected).tobytes()
+        # Six sources clear min_sources, so the trim actually ran.
+        assert not np.array_equal(shard.effective_counts(), shard.counts)
+
+    def test_olh_over_several_blocks(self):
+        """A domain spanning several candidate chunks and a batch spanning
+        several report blocks fold exactly like the flat reference scan."""
+        oracle = make_oracle("olh", epsilon=2.0)
+        r_block = olh_module._DECODE_REPORT_BLOCK
+        c_chunk = max(1, olh_module._DECODE_BLOCK_ELEMENTS // r_block)
+        domain = 3 * c_chunk + 2
+        batches = _batches(oracle, "native", domain, (r_block + 123, 7))
+        shard = self._assert_fold(oracle, batches, domain)
+        seeds, ys = batches[0]
+        flat = [
+            int(np.count_nonzero(
+                olh_module._universal_hash(
+                    seeds, np.full(seeds.shape, x), oracle.hash_domain_size()
+                ) == ys
+            ))
+            for x in range(domain)
+        ]
+        first = LevelShard(oracle, domain)
+        first.ingest(batches[0])
+        assert first.counts.tolist() == flat
+        assert shard.n_users == r_block + 130
+
+    def test_wrong_shape_counts_are_refused(self):
+        shard = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        with pytest.raises(ShardError, match="shape"):
+            shard.ingest_counts(np.zeros(DOMAIN + 1, dtype=np.int64), 3)
+        with pytest.raises(ShardError, match="non-negative"):
+            shard.ingest_counts(np.zeros(DOMAIN, dtype=np.int64), -1)
+        assert shard.n_batches == 0
 
 
 class TestCompatibilityChecks:
     def test_oracle_mismatch(self):
-        krr = make_shard(make_oracle("krr", 2.0), DOMAIN)
-        oue = make_shard(make_oracle("oue", 2.0), DOMAIN)
+        krr = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        oue = LevelShard(make_oracle("oue", 2.0), DOMAIN)
         with pytest.raises(ShardError, match="oracle"):
             krr.merge(oue)
 
     def test_epsilon_mismatch(self):
-        a = make_shard(make_oracle("krr", 2.0), DOMAIN)
-        b = make_shard(make_oracle("krr", 3.0), DOMAIN)
+        a = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        b = LevelShard(make_oracle("krr", 3.0), DOMAIN)
         with pytest.raises(ShardError, match="epsilon"):
             a.merge(b)
 
     def test_domain_mismatch(self):
-        a = make_shard(make_oracle("krr", 2.0), DOMAIN)
-        b = make_shard(make_oracle("krr", 2.0), DOMAIN + 1)
+        a = LevelShard(make_oracle("krr", 2.0), DOMAIN)
+        b = LevelShard(make_oracle("krr", 2.0), DOMAIN + 1)
         with pytest.raises(ShardError, match="domain"):
             a.merge(b)
