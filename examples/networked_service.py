@@ -45,7 +45,7 @@ def bit_identity_act(scale: str, seed: int) -> None:
     mechanism = TAPMechanism(config)
     print(f"running TAP twice on rdb/{scale} (seed {seed}) ...")
     service = run_in_service_mode(mechanism, dataset, rng=seed)
-    with start_gateway(decode_backend="thread", decode_workers=2) as handle:
+    with start_gateway() as handle:
         network = run_over_network(mechanism, dataset, handle.address, rng=seed)
 
     assert network.heavy_hitters == service.heavy_hitters
@@ -64,7 +64,7 @@ def bit_identity_act(scale: str, seed: int) -> None:
 
 
 def loadgen_act(scale: str, connections: int, credits: int | None = None) -> None:
-    kwargs = {"decode_backend": "thread", "decode_workers": 2}
+    kwargs = {}
     label = "load generation"
     if credits is not None:
         kwargs["connection_credits"] = credits

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.cli.common import (
     CLIError,
-    add_backend_arguments,
     add_logging_arguments,
     emit_json,
 )
@@ -58,14 +57,9 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
         help="per-connection in-flight report-batch budget of every shard",
     )
     parser.add_argument(
-        "--max-inflight", type=int, default=None,
-        help="per-shard bound on concurrently decoding batches",
-    )
-    parser.add_argument(
         "--max-frame-bytes", type=int, default=None,
         help="largest frame body each shard accepts",
     )
-    add_backend_arguments(parser)
     add_logging_arguments(parser)
     parser.add_argument(
         "-o", "--output", default=None,
@@ -104,10 +98,7 @@ def cmd(args: argparse.Namespace) -> int:
         handle = launch_cluster(
             n_shards,
             host=host,
-            backend=args.backend,
-            workers=args.workers,
             credits=args.credits,
-            max_inflight=args.max_inflight,
             max_frame_bytes=args.max_frame_bytes,
             spec_path=spec_path,
         )

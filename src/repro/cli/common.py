@@ -33,10 +33,9 @@ def build_gateway(factory, *, action: str):
     """Run a gateway-constructing callable, mapping bad config to CLIError.
 
     Shared by ``serve --listen`` and ``loadgen`` (self-hosting): a spec's
-    ``gateway:`` section can carry values the constructors refuse —
-    including an unknown ``decode_backend`` name, which ``get_backend``
-    reports as ``KeyError`` (the ``--backend`` flags are
-    argparse-validated, so only the spec path is exposed to it).
+    ``gateway:`` section can carry values the constructor refuses (say,
+    ``connection_credits: 0``), which must exit cleanly, not with a
+    traceback.
     """
     try:
         return factory()

@@ -17,11 +17,9 @@ Three modes:
   FILE`` re-renders the records;
 * **network gateway** (``--listen HOST:PORT``): serves the wire protocol
   over TCP — an asyncio :class:`~repro.net.gateway.AggregationGateway`
-  fronting one aggregation server, with its per-batch decode fan-out on
-  ``--backend/--workers`` (gateway-only flags: the in-process modes count
-  every batch with one support-count scan), credit-based backpressure
-  and oversize-frame rejection.  Port 0 binds an ephemeral port;
-  ``--ready-file FILE`` writes the bound ``host:port`` once listening
+  fronting one aggregation server on one thread, with credit-based
+  backpressure and oversize-frame rejection.  Port 0 binds an ephemeral
+  port; ``--ready-file FILE`` writes the bound ``host:port`` once listening
   (the scripting seam ``repro loadgen --connect`` pairs with).  The gateway runs until a
   client sends a shutdown frame (``repro loadgen --shutdown``) or Ctrl-C.
 """
@@ -40,7 +38,6 @@ from repro.cli.common import (
     resolve_scale,
 )
 from repro.datasets.registry import load_dataset
-from repro.engine import available_backends
 from repro.service.harness import serve_dataset
 
 
@@ -134,22 +131,8 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
              "(gateway mode; explicit flags win)",
     )
     listen.add_argument(
-        "--backend", choices=sorted(available_backends()), default=None,
-        help="execution backend of the per-batch decode fan-out: each wire "
-             "batch is decoded and counted on an engine worker (gateway "
-             "mode; default: serial)",
-    )
-    listen.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for a parallel --backend (gateway mode)",
-    )
-    listen.add_argument(
         "--credits", type=int, default=None,
         help="per-connection in-flight report-batch budget (gateway mode)",
-    )
-    listen.add_argument(
-        "--max-inflight", type=int, default=None,
-        help="global bound on concurrently decoding batches (gateway mode)",
     )
     listen.add_argument(
         "--max-frame-bytes", type=int, default=None,
@@ -197,8 +180,8 @@ SCENARIO_ONLY_FLAGS: tuple[str, ...] = (
     "defense", "defense_fraction", "report_batch_size",
 )
 LISTEN_ONLY_FLAGS: tuple[str, ...] = (
-    "ready_file", "spec", "backend", "workers", "credits", "max_inflight",
-    "max_frame_bytes", "telemetry_sample", "trace_log",
+    "ready_file", "spec", "credits", "max_frame_bytes", "telemetry_sample",
+    "trace_log",
 )
 #: Flags shared by the raw and scenario modes that a gateway has no use
 #: for (it learns oracle/budget from each broadcast and never perturbs).
@@ -295,13 +278,8 @@ def _cmd_listen(args: argparse.Namespace) -> int:
             kwargs = load_loadgen_spec(args.spec).gateway_kwargs()
         except SpecError as exc:
             raise CLIError(str(exc)) from exc
-    if args.backend is not None:
-        kwargs["decode_backend"] = args.backend
-    if args.workers is not None:
-        kwargs["decode_workers"] = args.workers
     for flag, keyword in (
         ("credits", "connection_credits"),
-        ("max_inflight", "max_inflight_batches"),
         ("max_frame_bytes", "max_frame_bytes"),
         ("telemetry_sample", "telemetry_sample"),
         ("trace_log", "trace_log"),

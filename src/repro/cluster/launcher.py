@@ -190,10 +190,7 @@ def _shard_command(
     host: str,
     ready_file: Path,
     *,
-    backend: str | None,
-    workers: int | None,
     credits: int | None,
-    max_inflight: int | None,
     max_frame_bytes: int | None,
     spec_path: str | None,
 ) -> list[str]:
@@ -209,14 +206,8 @@ def _shard_command(
     ]
     if spec_path is not None:
         command += ["--spec", str(spec_path)]
-    if backend is not None:
-        command += ["--backend", str(backend)]
-    if workers is not None:
-        command += ["--workers", str(workers)]
     if credits is not None:
         command += ["--credits", str(credits)]
-    if max_inflight is not None:
-        command += ["--max-inflight", str(max_inflight)]
     if max_frame_bytes is not None:
         command += ["--max-frame-bytes", str(max_frame_bytes)]
     return command
@@ -226,10 +217,7 @@ def launch_cluster(
     n_shards: int,
     *,
     host: str = "127.0.0.1",
-    backend: str | None = None,
-    workers: int | None = None,
     credits: int | None = None,
-    max_inflight: int | None = None,
     max_frame_bytes: int | None = None,
     spec_path: str | None = None,
     run_dir: str | Path | None = None,
@@ -280,10 +268,7 @@ def launch_cluster(
                 _shard_command(
                     host,
                     ready,
-                    backend=backend,
-                    workers=workers,
                     credits=credits,
-                    max_inflight=max_inflight,
                     max_frame_bytes=max_frame_bytes,
                     spec_path=spec_path,
                 ),

@@ -315,10 +315,7 @@ LOADGEN_CLUSTER_KEYS: tuple[str, ...] = ("shards", "host")
 #: ``gateway:`` keys — constructor knobs of
 #: :class:`repro.net.gateway.AggregationGateway`.
 LOADGEN_GATEWAY_KEYS: tuple[str, ...] = (
-    "decode_backend",
-    "decode_workers",
     "connection_credits",
-    "max_inflight_batches",
     "max_frame_bytes",
     "telemetry_sample",
     "trace_log",

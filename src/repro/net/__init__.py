@@ -9,9 +9,10 @@ bytes on TCP:
   round closes by exporting its exact counts) and the structured
   error-frame mapping;
 * :mod:`repro.net.gateway` — :class:`AggregationGateway`, an asyncio TCP
-  front for an :class:`~repro.service.server.AggregationServer`: decode
-  fan-out on the execution engine, credit-based per-connection
-  backpressure, global in-flight bounds, oversize-frame rejection;
+  front for an :class:`~repro.service.server.AggregationServer`, on one
+  thread: every batch is the server's own ``ingest`` on the event loop,
+  with credit-based per-connection pipelining and oversize-frame
+  rejection;
   :func:`start_gateway` hosts it on a daemon thread for synchronous
   callers;
 * :mod:`repro.net.client` — the synchronous :class:`GatewayConnection`

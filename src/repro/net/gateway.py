@@ -2,7 +2,9 @@
 
 One :class:`AggregationGateway` owns one aggregation server and serves the
 frame protocol of :mod:`repro.net.framing` to any number of concurrent
-client connections:
+client connections, all on one thread: the event loop handles each frame
+by calling the embedded server directly, so it is the only thread that
+touches the server and totals cannot race.
 
 * **round lifecycle** — a broadcast-request frame opens a round (the
   gateway reconstructs the round's oracle and candidate domain from the
@@ -12,26 +14,19 @@ client connections:
   as a shard-state frame — the gateway never estimates: the client
   merges (one state here, one per shard in a cluster) and estimates
   once;
-* **columnar decode fan-out** — report-batch frames are decoded *and
-  counted* on the gateway's execution backend (:mod:`repro.engine`) while
-  the single-threaded event loop keeps reading: each worker reduces its
-  payload to an ``O(domain_size)`` count summary
-  (:func:`~repro.service.columnar.summarize_report_payload`), so only
-  count vectors — never report buffers — cross back to the accumulator,
-  which merges them via
-  :meth:`~repro.service.server.AggregationServer.ingest_summary` on one
-  thread so totals never race.  Counts are exact integers, so this is
-  bit-identical to the in-process
-  :meth:`~repro.service.server.AggregationServer.ingest` in estimates,
-  transcripts and accounting (``tests/test_columnar_equivalence.py``);
+* **ingest** — a report-batch frame is
+  :meth:`~repro.service.server.AggregationServer.ingest` on the wire
+  payload, then its ack: the same call, the same checks and the same
+  errors as in process, so a gateway round is bit-identical to an
+  in-process one in estimates, transcripts and accounting
+  (``tests/test_gateway_equivalence.py``);
 * **admission control** — frames above ``max_frame_bytes`` are refused on
-  their 5-byte header alone (the body is never read); a global
-  ``max_inflight_batches`` semaphore bounds decode memory — when it is
-  full the gateway simply stops reading sockets, which is TCP
-  backpressure; each connection additionally gets ``connection_credits``
-  in its welcome message and is disconnected if it exceeds them
-  (credit-based backpressure: a batch costs one credit, its ack returns
-  it);
+  their 5-byte header alone (the body is never read); each connection
+  gets ``connection_credits`` in its welcome message, its pipelining
+  window (a batch costs one credit, its ack returns it).  A connection's
+  next frame is read only after its previous batch is ingested and
+  acked, so what one connection can make the gateway hold is one frame
+  plus the TCP buffers;
 * **exact accounting** — identical to in-memory mode, because the bytes
   inside a report/broadcast frame *are* the canonical service encoding
   the in-memory server accounts.  The embedded server's message log is
@@ -46,13 +41,12 @@ gateway's event loop on a daemon thread and hands back a
 **Trust model.**  The gateway is a measurement instrument for trusted
 clients (localhost/lab networks), not an authenticated production
 endpoint: admission control protects the *server's resources* (frame
-sizes, in-flight decode memory, domain allocations tied to broadcast
-size), while rounds deliberately have no connection ownership — any
-connection may stream into or close any round.  That is load-bearing:
-a process-backend client pickles its
-:class:`~repro.cluster.coordinator.ClusterCoordinator` into workers, which
-reconnect and legitimately finish rounds their parent's connection
-opened.
+sizes, domain allocations tied to broadcast size), while rounds
+deliberately have no connection ownership — any connection may stream
+into or close any round.  That is load-bearing: a process-backend client
+pickles its :class:`~repro.cluster.coordinator.ClusterCoordinator` into
+workers, which reconnect and legitimately finish rounds their parent's
+connection opened.
 """
 
 from __future__ import annotations
@@ -60,11 +54,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
-from repro.engine import ExecutionBackend, get_backend
 from repro.ldp.registry import make_oracle
 from repro.net import framing
 from repro.net.framing import (
@@ -82,7 +73,6 @@ from repro.net.framing import (
 )
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
 from repro.obs.trace import SpanContext, Tracer
-from repro.service.columnar import summarize_report_payload
 from repro.service.protocol import WireFormatError, decode_broadcast, wire_bits
 from repro.service.server import AggregationServer, ServiceError
 from repro.utils.validation import check_positive
@@ -91,7 +81,6 @@ from repro.utils.validation import check_positive
 PROTOCOL_VERSION = 1
 
 DEFAULT_CONNECTION_CREDITS = 32
-DEFAULT_MAX_INFLIGHT_BATCHES = 256
 
 
 @dataclass(frozen=True)
@@ -131,19 +120,17 @@ async def read_frame(
 
 @dataclass
 class _Connection:
-    """Per-connection gateway state: writer, credit ledger, pending ingests."""
+    """Per-connection gateway state: the writer and the error counter.
+
+    Only the connection's own handler writes to it, one frame at a time.
+    """
 
     writer: asyncio.StreamWriter
-    credits: int
-    pending: set = field(default_factory=set)
-    n_batches: int = 0
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     on_error: object = None  # callable(exc) counting errors by code
 
     async def send(self, kind: int, body: bytes) -> None:
-        async with self.write_lock:
-            self.writer.write(framing.encode_frame(kind, body))
-            await self.writer.drain()
+        self.writer.write(framing.encode_frame(kind, body))
+        await self.writer.drain()
 
     async def send_control(self, message: dict) -> None:
         await self.send(FRAME_ROUND_CONTROL, framing.encode_control(message))
@@ -156,11 +143,6 @@ class _Connection:
         except (ConnectionError, RuntimeError):  # peer already gone
             pass
 
-    async def drain_pending(self) -> None:
-        """Barrier: wait for every in-flight ingest of this connection."""
-        while self.pending:
-            await asyncio.gather(*list(self.pending), return_exceptions=True)
-
 
 class AggregationGateway:
     """Serves the aggregation wire protocol over TCP, fronting one server.
@@ -170,17 +152,9 @@ class AggregationGateway:
     host / port:
         Listen address; port 0 binds an ephemeral port (read it back from
         :attr:`address` once started).
-    decode_backend / decode_workers:
-        Execution backend for the per-batch decode fan-out: each wire
-        batch is decoded and counted into its support-count vector on an
-        engine worker (``None``: serial).  The gateway owns the resolved
-        engine and shuts it down on :meth:`stop`.
     connection_credits:
-        Report batches a connection may have in flight (unacked); the
-        bound is announced in the welcome message and enforced.
-    max_inflight_batches:
-        Global bound on concurrently decoding batches across all
-        connections; beyond it the gateway stops reading sockets.
+        Report batches a connection may pipeline (send before their
+        acks), announced in the welcome message: the client's window.
     max_frame_bytes:
         Largest accepted frame body; bigger frames are refused unread and
         the connection is closed.
@@ -211,10 +185,7 @@ class AggregationGateway:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        decode_backend: str | ExecutionBackend | None = None,
-        decode_workers: int | None = None,
         connection_credits: int = DEFAULT_CONNECTION_CREDITS,
-        max_inflight_batches: int = DEFAULT_MAX_INFLIGHT_BATCHES,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         allow_shutdown: bool = True,
         metrics: MetricsRegistry | None = None,
@@ -223,12 +194,10 @@ class AggregationGateway:
         telemetry_sample: float = 0.0,
     ):
         check_positive("connection_credits", connection_credits)
-        check_positive("max_inflight_batches", max_inflight_batches)
         check_positive("max_frame_bytes", max_frame_bytes)
         self.host = host
         self.port = int(port)
         self.connection_credits = int(connection_credits)
-        self.max_inflight_batches = int(max_inflight_batches)
         self.max_frame_bytes = int(max_frame_bytes)
         self.allow_shutdown = bool(allow_shutdown)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -240,7 +209,6 @@ class AggregationGateway:
         # Sampling is deterministic (every Nth ingest), so it never reads
         # an RNG: N = round(1/fraction), 0 disables timing entirely.
         self._sample_every = 0 if sample <= 0 else max(1, round(1.0 / sample))
-        self._engine = get_backend(decode_backend, decode_workers)
         self.server = AggregationServer(metrics=self.metrics)
         m = self.metrics
         self._m_connections_total = m.counter("gateway_connections_total")
@@ -252,19 +220,10 @@ class AggregationGateway:
         self._m_frames_rejected = m.counter("gateway_frames_rejected_total")
         self._m_batches = m.counter("gateway_batches_ingested_total")
         self._m_reports = m.counter("gateway_reports_ingested_total")
-        self._m_inflight = m.gauge("gateway_inflight_batches")
         self._m_batch_ms = m.histogram("gateway_batch_ms")
         self._m_rounds_opened = m.counter("gateway_rounds_opened_total")
         self._m_shards_exported = m.counter("gateway_shards_exported_total")
-        # All mutations of the inner server run on this one worker — the
-        # serialization the accounting needs — while the event loop stays
-        # free to read frames and send acks.  Decoding and counting happen
-        # on the engine; this worker only adds count vectors.
-        self._accumulator = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-gateway-accumulate"
-        )
         self._aio_server: asyncio.Server | None = None
-        self._inflight: asyncio.Semaphore | None = None
         self._stopping = False
         self._stopped: asyncio.Event | None = None
         self._connections: set[asyncio.Task] = set()
@@ -291,14 +250,13 @@ class AggregationGateway:
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._inflight = asyncio.Semaphore(self.max_inflight_batches)
         self._stopped = asyncio.Event()
         self._aio_server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
 
     async def stop(self) -> None:
-        """Stop accepting, tear down live connections, release workers."""
+        """Stop accepting and tear down live connections."""
         self._stopping = True
         if self._aio_server is not None:
             self._aio_server.close()
@@ -307,8 +265,6 @@ class AggregationGateway:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        self._accumulator.shutdown(wait=True)
-        self._engine.shutdown()
         if self._owns_tracer and self.tracer is not None:
             self.tracer.close()
         if self._stopped is not None:
@@ -339,11 +295,7 @@ class AggregationGateway:
         self.n_connections_total += 1
         self._m_connections_total.inc()
         self._m_connections_live.inc()
-        state = _Connection(
-            writer=writer,
-            credits=self.connection_credits,
-            on_error=self._count_error,
-        )
+        state = _Connection(writer=writer, on_error=self._count_error)
         try:
             await state.send_control(
                 {
@@ -397,10 +349,6 @@ class AggregationGateway:
             # gateway stop) escape the handler task: asyncio.streams would
             # log each one as an unretrieved connection error.
             self._m_connections_live.dec()
-            try:
-                await state.drain_pending()
-            except asyncio.CancelledError:
-                pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -463,15 +411,11 @@ class AggregationGateway:
                 domain = _WireDomain(
                     size=broadcast.domain_size, prefixes=broadcast.prefixes
                 )
-                round_id = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator,
-                    partial(
-                        self.server.open_round,
-                        party=broadcast.party,
-                        level=broadcast.level,
-                        oracle=oracle,
-                        domain=domain,
-                    ),
+                round_id = self.server.open_round(
+                    party=broadcast.party,
+                    level=broadcast.level,
+                    oracle=oracle,
+                    domain=domain,
                 )
             except (KeyError, ValueError) as exc:
                 # A decodable broadcast can still carry values the library
@@ -499,7 +443,7 @@ class AggregationGateway:
         )
 
     # ------------------------------------------------------------------ #
-    # Batch ingestion (pipelined)
+    # Batch ingestion
     # ------------------------------------------------------------------ #
     async def _on_report_batch(self, state: _Connection, frame: Frame) -> bool:
         try:
@@ -507,96 +451,33 @@ class AggregationGateway:
         except FrameError as exc:
             await state.send_error(exc)
             return False
-        try:
-            # Round-state errors precede codec errors (matching the
-            # in-memory server), and a batch for a dead round never costs
-            # the engine a decode.  A racing export on the accumulator
-            # thread is re-checked authoritatively inside ingest_summary.
-            self.server.check_open(round_id)
-        except ServiceError as exc:
-            await state.send_error(exc, seq=seq)
-            return True
-        if len(state.pending) >= state.credits:
-            # The client broke the credit contract announced in the
-            # welcome; a well-behaved client can never trip this because
-            # acks are sent only after the pending entry is released.
-            self.n_frames_rejected += 1
-            await state.send_error(
-                ServiceError(
-                    f"connection exceeded its {state.credits} report-batch "
-                    "credits",
-                    code="admission_rejected",
-                ),
-                seq=seq,
-            )
-            return False
-        assert self._inflight is not None
-        await self._inflight.acquire()  # global cap: stop reading when full
-        self._m_inflight.inc()
-        # Sampled wall-clock timing plus the (optional) ingest span: both
-        # decided here, after admission, so rejected batches never pay a
-        # clock read and span counts match ingested batches exactly.
+        # Sampled wall-clock timing: every Nth batch, so an unsampled
+        # gateway never reads the clock on this path.
         t0 = (
             time.perf_counter()
             if self._sample_every and self._m_batches.value % self._sample_every == 0
             else None
         )
         span = self._frame_span("gateway.ingest", frame, round_id=round_id, seq=seq)
-        future = self._engine.submit(summarize_report_payload, payload)
-        task = asyncio.get_running_loop().create_task(
-            self._ingest(state, round_id, seq, wire_bits(payload), future, t0, span)
-        )
-        state.pending.add(task)
-        task.add_done_callback(state.pending.discard)
-        return True
-
-    async def _ingest(self, state, round_id, seq, payload_bits, future, t0=None, span=None) -> None:
         try:
-            try:
-                summary = await asyncio.wrap_future(future)
-                n = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator,
-                    partial(
-                        self.server.ingest_summary,
-                        round_id,
-                        summary,
-                        payload_bits=payload_bits,
-                    ),
-                )
-            finally:
-                self._inflight.release()
-                self._m_inflight.dec()
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            if span is not None:
-                span.finish(error="cancelled")
-            raise
+            n = self.server.ingest(round_id, payload)
         except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
             # WireFormatError/ServiceError keep their structured code; any
-            # other failure ships as "internal" instead of killing the loop.
+            # other failure ships as "internal" and the connection stays up.
             if span is not None:
                 span.finish(error=f"{type(exc).__name__}: {exc}")
             await state.send_error(exc, seq=seq)
-            return
-        state.n_batches += 1
+            return True
         self._m_batches.inc()
         self._m_reports.inc(n)
         if t0 is not None:
             self._m_batch_ms.observe((time.perf_counter() - t0) * 1e3)
         if span is not None:
-            span.finish(n=n, payload_bits=payload_bits)
-        # Release the credit BEFORE the ack crosses the wire: once the
-        # client reads the ack it may immediately send another batch, and
-        # the admission check must never see the acked task still pending
-        # (the ack write can suspend on a full transport buffer).
-        task = asyncio.current_task()
-        if task is not None:
-            state.pending.discard(task)
-        try:
-            await state.send_control(
-                {"op": "batch_ack", "round_id": round_id, "seq": seq, "n": n}
-            )
-        except (ConnectionError, RuntimeError):  # pragma: no cover - peer gone
-            pass
+            span.finish(n=n, payload_bits=wire_bits(payload))
+        await state.send_control(
+            {"op": "batch_ack", "round_id": round_id, "seq": seq, "n": n}
+        )
+        return True
 
     # ------------------------------------------------------------------ #
     # Control messages
@@ -606,16 +487,15 @@ class AggregationGateway:
             message = framing.decode_control(body)
             op = message.get("op")
             if op == "export_shard":
-                # The gateway's half of every round close: the export must
-                # observe every batch the client pipelined before it
-                # (client drains its acks first, so pending here is
-                # already empty in the well-behaved case), then ship the
-                # raw (unestimated) state for the client to estimate.
-                await state.drain_pending()
+                # The gateway's half of every round close: every batch
+                # this connection sent before it is already ingested, so
+                # the export ships the raw (unestimated) state for the
+                # client to estimate.  Nothing here reads the server's
+                # message log (clients keep their own transcript), so it
+                # is dropped at each close to keep memory bounded.
                 round_id = int(message["round_id"])
-                exported = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, self._export_round, round_id
-                )
+                exported = self.server.export_shard(round_id)
+                self.server.drain_messages()
                 self._m_shards_exported.inc()
                 await state.send(
                     framing.FRAME_SHARD_STATE,
@@ -623,27 +503,13 @@ class AggregationGateway:
                 )
                 return True
             if op == "metrics":
-                await state.drain_pending()
-                # Through the accumulator, like "stats": the registry's
-                # own locks make instrument reads safe, but the embedded
-                # stats() scan walks the rounds dict.
-                document = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, self.metrics_snapshot
-                )
+                document = self.metrics_snapshot()
                 await state.send(
                     framing.FRAME_STATS, framing.encode_metrics_frame(document)
                 )
                 return True
             if op == "stats":
-                await state.drain_pending()
-                # Through the accumulator like every other server access:
-                # other connections' open_round/ingest calls mutate the
-                # rounds dict on that thread, and dicts must not change
-                # size under the stats scan.
-                stats = await asyncio.get_running_loop().run_in_executor(
-                    self._accumulator, self.stats
-                )
-                await state.send_control({"op": "stats", **stats})
+                await state.send_control({"op": "stats", **self.stats()})
                 return True
             if op == "shutdown":
                 if not self.allow_shutdown:
@@ -651,7 +517,6 @@ class AggregationGateway:
                         "this gateway does not accept remote shutdown",
                         code="admission_rejected",
                     )
-                await state.drain_pending()
                 await state.send_control({"op": "bye"})
                 self.request_stop()
                 return False
@@ -669,17 +534,6 @@ class AggregationGateway:
             await state.send_error(FrameError(f"malformed control message: {exc!r}"))
             return False
 
-    def _export_round(self, round_id: int):
-        """Close ``round_id`` for export and drop the server's message log.
-
-        Nothing on the gateway reads that log (every client keeps its own
-        transcript), so draining it at each round close keeps a
-        long-lived gateway's memory bounded.
-        """
-        exported = self.server.export_shard(round_id)
-        self.server.drain_messages()
-        return exported
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -695,7 +549,6 @@ class AggregationGateway:
             "connections_live": len(self._connections),
             "frames_rejected": self.n_frames_rejected,
             "credits_per_connection": self.connection_credits,
-            "max_inflight_batches": self.max_inflight_batches,
             "max_frame_bytes": self.max_frame_bytes,
         }
 

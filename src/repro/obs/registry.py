@@ -3,8 +3,7 @@
 Three instrument kinds, deliberately minimal:
 
 * :class:`Counter` — a monotonically increasing integer;
-* :class:`Gauge` — a float that can move both ways (in-flight batches,
-  live connections);
+* :class:`Gauge` — a float that can move both ways (live connections);
 * :class:`Histogram` — fixed **log2 buckets**: an observation ``v`` lands
   in the bucket of exponent ``e`` with ``2^(e-1) <= v < 2^e``.  Bucket
   counts are exact integers, so two histograms merge with the *same

@@ -13,9 +13,10 @@ server memory is ``O(domain_size)``:
   accumulators (associative :meth:`~shards.LevelShard.merge`); every
   batch folds in as its ``support_counts`` vector;
 * :mod:`repro.service.server` — :class:`AggregationServer` round lifecycle
-  plus :class:`ServiceRoundRunner`, the estimation-seam adapter that turns
-  ``MechanismConfig(execution_mode="service")`` into end-to-end streamed
-  TAP/TAPS runs;
+  (the network gateway embeds one and calls its ``ingest`` on every wire
+  batch) plus :class:`ServiceRoundRunner`, the estimation-seam adapter
+  that turns ``MechanismConfig(execution_mode="service")`` into
+  end-to-end streamed TAP/TAPS runs;
 * :mod:`repro.service.streaming` — sliding-window re-discovery for
   continual heavy-hitter tracking;
 * :mod:`repro.service.harness` — :func:`serve_dataset`, the programmatic

@@ -272,10 +272,9 @@ def encode_report_batch(batch: ReportBatch) -> bytes:
 def split_report_batch(data: bytes) -> tuple[ReportBatch, memoryview]:
     """Parse a batch header; return its meta and a zero-copy payload view.
 
-    The columnar decode seam: the returned :class:`ReportBatch` carries
-    every header field with ``reports=None``, and the memoryview aliases
-    the payload bytes without copying them.  :func:`decode_report_batch`
-    and the columnar summarisers build on this.
+    The returned :class:`ReportBatch` carries every header field with
+    ``reports=None``, and the memoryview aliases the payload bytes without
+    copying them.  :func:`decode_report_batch` builds on this.
     """
     if data[:4] != _REPORT_MAGIC:
         raise WireFormatError(

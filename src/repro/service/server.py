@@ -7,7 +7,10 @@ privatized report batches from the wire into a mergeable
 same :class:`~repro.ldp.base.EstimationResult` the in-memory path produces.
 Server memory per round is ``O(domain_size)`` — independent of the number
 of reporting users — and every message is logged with its **exact** wire
-byte count.
+byte count.  The network gateway (:mod:`repro.net.gateway`) embeds one
+server and calls the same :meth:`AggregationServer.ingest` on every wire
+batch, so a round through a gateway runs exactly this code, checks and
+errors included.
 
 :class:`ServiceRoundRunner` plugs the server into the estimation seam
 (:class:`repro.core.estimation.RoundRunner`), which is how
@@ -345,15 +348,6 @@ class AggregationServer:
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-    def check_open(self, round_id: int) -> None:
-        """Raise the structured error unless ``round_id`` is an open round.
-
-        The cheap admission probe the network gateway runs before spending
-        a decode on a batch; round-state errors thereby keep their
-        precedence over codec errors in every execution mode.
-        """
-        self._round(round_id)
-
     def ingest(self, round_id: int, payload: bytes) -> int:
         """Decode one wire batch into the round's shard; returns its size."""
         # Round-state errors take precedence over codec errors (and save
@@ -363,47 +357,24 @@ class AggregationServer:
         batch = decode_report_batch(payload)
         self._validate_batch(round_, batch)
         n = round_.shard.ingest(batch.reports)
-        self._account_batch(round_, batch.party, wire_bits(payload))
-        if self._m_reports is not None:
-            self._m_reports.inc(n)
-        return n
-
-    def ingest_summary(self, round_id: int, summary, *, payload_bits: int) -> int:
-        """Fold a columnar batch summary into a round, accounted at ``payload_bits``.
-
-        The gateway's ingest path, the columnar twin of :meth:`ingest`:
-        an engine worker has already decoded *and* counted the wire batch
-        (:func:`repro.service.columnar.summarize_report_payload`), so only
-        its ``O(domain_size)`` count vector reaches the accumulator.
-        ``payload_bits`` is still the exact wire size of the batch the
-        summary stands for — transcripts cannot tell the two paths apart.
-        """
-        round_ = self._round(round_id)
-        self._validate_batch(round_, summary)
-        n = round_.shard.ingest_counts(summary.counts, summary.n_users)
-        self._account_batch(round_, summary.party, payload_bits)
-        if self._m_reports is not None:
-            self._m_reports.inc(n)
-        return n
-
-    def _account_batch(
-        self, round_: ServiceRound, party: str, payload_bits: int
-    ) -> None:
+        payload_bits = wire_bits(payload)
         round_.n_batches += 1
         round_.upload_bits += payload_bits
         self._upload_bits += payload_bits
         if self._m_batches is not None:
             self._m_batches.inc()
             self._m_upload_bits.inc(payload_bits)
+            self._m_reports.inc(n)
         self._messages.append(
             Message(
                 direction=MessageDirection.PARTY_TO_SERVER,
-                party=party,
+                party=batch.party,
                 kind="report_batch",
                 payload_bits=payload_bits,
                 level=round_.level,
             )
         )
+        return n
 
     def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
         """Encode a batch to wire bytes and ingest it (bytes always counted)."""

@@ -10,9 +10,7 @@ shards that are merged afterwards all produce identical counts (the algebra
 
 Every fold goes through one path, :meth:`LevelShard.ingest_counts`: a
 decoded batch is first reduced to its ``oracle.support_counts`` vector (the
-packed popcount for unary oracles, the blocked hash scan for OLH), exactly
-what a gateway worker ships as a batch summary
-(:mod:`repro.service.columnar`).
+packed popcount for unary oracles, the blocked hash scan for OLH).
 """
 
 from __future__ import annotations
@@ -75,8 +73,7 @@ class LevelShard:
         """Fold exact support counts into the accumulator; returns ``n_users``.
 
         The one fold of the shard: :meth:`ingest` counts a decoded batch
-        and lands here, and so does a gateway worker's batch summary
-        (:mod:`repro.service.columnar`), so the two paths cannot differ.
+        and lands here.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (self.domain_size,):

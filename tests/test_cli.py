@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -294,14 +294,6 @@ class TestServeScenario:
         assert main(["serve", "--scenario", str(path)]) == 2
         assert "uniform" in capsys.readouterr().err
 
-    def test_backend_flags_are_gateway_only_in_scenario_mode(self, tmp_path, capsys):
-        # The tracker counts every batch with one support-count scan: an
-        # engine flag outside --listen would be silently meaningless.
-        spec = self.write_scenario(tmp_path)
-        assert main(self.args(spec) + ["--backend", "thread"]) == 2
-        err = capsys.readouterr().err
-        assert "--backend" in err and "--listen" in err
-
     def test_raw_round_flags_are_rejected_in_scenario_mode(self, tmp_path, capsys):
         # Flags the scenario run would silently ignore must fail loudly.
         spec = self.write_scenario(tmp_path)
@@ -483,11 +475,18 @@ class TestServeListen:
         assert main(["serve", "--credits", "4"]) == 2
         assert "--listen" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--backend", "thread"], ["--workers", "2"]])
-    def test_backend_flags_require_listen_in_raw_mode(self, flags, capsys):
-        assert main(["serve", "--smoke", *flags]) == 2
-        err = capsys.readouterr().err
-        assert flags[0] in err and "--listen" in err
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "thread"], ["--workers", "2"], ["--max-inflight", "8"]],
+    )
+    def test_removed_gateway_flags_are_refused(self, flags, capsys):
+        # The gateway ingests on its event loop: there is no decode
+        # engine or in-flight bound left for these flags to size.
+        # Parsed only: at a gateway that took them, main() would serve.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--listen", "127.0.0.1:0", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_listen_rejects_round_flags(self, capsys):
         assert main(["serve", "--listen", "127.0.0.1:0", "--rounds", "3"]) == 2
@@ -546,22 +545,37 @@ class TestServeListen:
 
 
 class TestGatewaySpecErrors:
-    def spec_with_bogus_backend(self, tmp_path):
+    """A spec's gateway: value the constructor refuses exits cleanly."""
+
+    def spec_with_zero_credits(self, tmp_path):
         spec = tmp_path / "bad.json"
-        spec.write_text(json.dumps({"gateway": {"decode_backend": "quantum"}}))
+        spec.write_text(json.dumps({"gateway": {"connection_credits": 0}}))
         return spec
 
-    def test_listen_reports_unknown_decode_backend_cleanly(self, tmp_path, capsys):
-        spec = self.spec_with_bogus_backend(tmp_path)
+    def test_listen_reports_refused_gateway_value_cleanly(self, tmp_path, capsys):
+        spec = self.spec_with_zero_credits(tmp_path)
         assert main(["serve", "--listen", "127.0.0.1:0", "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
-        assert "quantum" in err and "Traceback" not in err
+        assert "connection_credits" in err and "Traceback" not in err
 
-    def test_loadgen_reports_unknown_decode_backend_cleanly(self, tmp_path, capsys):
-        spec = self.spec_with_bogus_backend(tmp_path)
+    def test_loadgen_reports_refused_gateway_value_cleanly(self, tmp_path, capsys):
+        spec = self.spec_with_zero_credits(tmp_path)
         assert main(["loadgen", "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
-        assert "quantum" in err and "Traceback" not in err
+        assert "connection_credits" in err and "Traceback" not in err
+
+
+class TestCluster:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "thread"], ["--workers", "2"], ["--max-inflight", "8"]],
+    )
+    def test_removed_shard_flags_are_refused(self, flags, capsys):
+        # Parsed only: a cluster that took them would start its shards.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["cluster", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 class TestLoadgenScenarioConflicts:

@@ -36,9 +36,7 @@ from repro.trie.candidate_domain import CandidateDomain
 @pytest.fixture(scope="module")
 def shard_pool():
     """Three live gateways; tests slice 2- and 3-shard clusters off them."""
-    handles = [
-        start_gateway(decode_backend="thread", decode_workers=2) for _ in range(3)
-    ]
+    handles = [start_gateway() for _ in range(3)]
     yield handles
     for handle in handles:
         handle.close()

@@ -258,7 +258,7 @@ class TestFiles:
 
 LOADGEN_DICT = {
     "name": "net-lab",
-    "gateway": {"decode_backend": "thread", "connection_credits": 8},
+    "gateway": {"connection_credits": 8, "max_frame_bytes": 1 << 20},
     "workload": {
         "dataset": "rdb",
         "scale": "tiny",
@@ -279,7 +279,7 @@ class TestLoadgenSpec:
         assert LoadgenSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_keys_name_the_offender(self):
-        bad = {**LOADGEN_DICT, "gateway": {"decode_backend": "thread", "typo": 1}}
+        bad = {**LOADGEN_DICT, "gateway": {"connection_credits": 8, "typo": 1}}
         with pytest.raises(SpecError, match="typo"):
             LoadgenSpec.from_dict(bad, source="bad.yaml")
         with pytest.raises(SpecError, match="wurkload"):
@@ -313,6 +313,19 @@ class TestLoadgenSpec:
         with pytest.raises(SpecError, match=r"unknown gateway.*'n_decode_shards'"):
             LoadgenSpec.from_dict(stale, source="stale.yaml")
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("decode_backend", "thread"), ("decode_workers", 2),
+         ("max_inflight_batches", 128)],
+    )
+    def test_stale_gateway_engine_keys_fail_loudly(self, key, value):
+        # The gateway ingests every batch on its event loop: a spec that
+        # still sizes the old decode engine or in-flight bound must not
+        # run as if they applied.
+        stale = {**LOADGEN_DICT, "gateway": {"connection_credits": 8, key: value}}
+        with pytest.raises(SpecError, match=rf"unknown gateway.*'{key}'"):
+            LoadgenSpec.from_dict(stale, source="stale.yaml")
+
     @pytest.mark.parametrize("form", [True, {}, "turbo"])
     def test_every_form_of_the_adaptive_block_fails_loudly(self, form):
         # `adaptive: true` was the default-config shorthand and `{}` an
@@ -342,8 +355,8 @@ class TestLoadgenSpec:
     def test_consumer_views_map_onto_the_apis(self):
         spec = LoadgenSpec.from_dict(LOADGEN_DICT)
         assert spec.gateway_kwargs() == {
-            "decode_backend": "thread",
             "connection_credits": 8,
+            "max_frame_bytes": 1 << 20,
         }
         kwargs = spec.loadgen_kwargs()
         assert kwargs["dataset"] == "rdb" and kwargs["oracle"] == "olh"

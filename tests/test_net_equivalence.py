@@ -20,9 +20,7 @@ from repro.service.server import run_in_service_mode
 
 @pytest.fixture(scope="module")
 def gateway():
-    # Thread-backed decode on the gateway: the invariant must hold even
-    # when server-side decode parallelism differs from the client's run.
-    with start_gateway(decode_backend="thread", decode_workers=2) as handle:
+    with start_gateway() as handle:
         yield handle
 
 

@@ -27,7 +27,7 @@ from repro.trie.candidate_domain import CandidateDomain
 
 @pytest.fixture(scope="module")
 def gateway():
-    with start_gateway(decode_backend="thread", decode_workers=2) as handle:
+    with start_gateway() as handle:
         yield handle
 
 
@@ -354,8 +354,8 @@ class TestAdmissionControl:
                 connection.drain()  # returns immediately, nothing pending
 
     def test_stats_are_safe_under_concurrent_round_opens(self):
-        """stats snapshots run on the accumulator thread, serialized with
-        the round-opening mutations of other connections."""
+        """stats snapshots run on the gateway's event loop, between the
+        round-opening mutations of other connections."""
         import threading
 
         domain = CandidateDomain.full_domain(3)

@@ -11,7 +11,7 @@ from repro.scenarios.spec import ScenarioSpec
 
 @pytest.fixture(scope="module")
 def gateway():
-    with start_gateway(decode_backend="thread", decode_workers=2) as handle:
+    with start_gateway() as handle:
         yield handle
 
 

@@ -83,9 +83,7 @@ class TestWireExtension:
 class TestLiveScrape:
     @pytest.fixture(scope="class")
     def gateway(self):
-        with start_gateway(
-            decode_backend="thread", decode_workers=2, telemetry_sample=1.0
-        ) as handle:
+        with start_gateway(telemetry_sample=1.0) as handle:
             yield handle
 
     def test_mid_round_scrape_reports_live_series(self, gateway):
@@ -146,7 +144,7 @@ class TestBitIdentity:
         domain = CandidateDomain.full_domain(3)
         payloads = _batches(domain, seed=11)
 
-        with start_gateway(decode_backend="thread", decode_workers=2) as plain:
+        with start_gateway() as plain:
             with GatewayConnection(plain.address) as connection:
                 round_id, plain_bits = connection.open_round(_broadcast(domain))
                 for payload in payloads:
@@ -155,10 +153,7 @@ class TestBitIdentity:
 
         gateway_tracer = Tracer(seed=0)
         with start_gateway(
-            decode_backend="thread",
-            decode_workers=2,
-            telemetry_sample=1.0,
-            tracer=gateway_tracer,
+            telemetry_sample=1.0, tracer=gateway_tracer
         ) as instrumented:
             client_tracer = Tracer(seed=1)
             with GatewayConnection(
@@ -195,9 +190,7 @@ class TestBitIdentity:
 class TestLoadgenTelemetry:
     def test_report_carries_merged_snapshot_and_span_log(self, tmp_path):
         trace_log = tmp_path / "spans.jsonl"
-        with start_gateway(
-            decode_backend="thread", decode_workers=2, telemetry_sample=1.0
-        ) as gateway:
+        with start_gateway(telemetry_sample=1.0) as gateway:
             report = run_loadgen(
                 gateway.address,
                 dataset="rdb",
@@ -227,7 +220,7 @@ class TestLoadgenTelemetry:
         assert all("trace_id" in span and "duration_ms" in span for span in spans)
 
     def test_off_reports_stay_byte_identical_to_pre_telemetry_shape(self):
-        with start_gateway(decode_backend="thread", decode_workers=2) as gateway:
+        with start_gateway() as gateway:
             report = run_loadgen(
                 gateway.address,
                 dataset="rdb",

@@ -2,9 +2,9 @@
 counts as the whole, for every registered oracle.
 
 A shard folds counts one way only: ``ingest(reports)`` is
-``ingest_counts(oracle.support_counts(reports))``, the same call a gateway
-worker's batch summary lands in.  :class:`TestOneFold` pins that fold
-against the oracle's own accumulator for every report form.
+``ingest_counts(oracle.support_counts(reports))``, in process and behind
+a gateway alike.  :class:`TestOneFold` pins that fold against the
+oracle's own accumulator for every report form.
 """
 
 from __future__ import annotations
