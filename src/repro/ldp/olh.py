@@ -24,14 +24,14 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 #: Cap on the number of (candidate, report) hash evaluations per decode
-#: block.  One block is 256 KiB of uint64, and :func:`_mix` keeps a few
-#: block-sized temporaries alive at once, so the working set stays around
-#: 1 MiB, inside a per-core L2, however large the candidate domain or the
-#: report batch grows.  Chosen by measurement on the OLH decode shapes of a
-#: TAPS discovery (5–157 candidates × 450–11,500 reports): ``1 << 15`` and
-#: ``1 << 16`` tie, and ``1 << 18`` (about 8 MiB with the temporaries) is
-#: slower on every shape tried, e.g. 3.9 vs 2.7 ms for 11,465 reports × 20
-#: candidates on a 2-core Xeon VM.
+#: block.  A call allocates its scratch once, sized to its first block: two
+#: uint64 buffers (the hash state and the shift/quotient temporary, 256 KiB
+#: each) and one bool buffer (32 KiB), about 544 KiB in all, inside a
+#: per-core L2, however large the candidate domain or the report batch
+#: grows.  Chosen by measurement on a 2-core Xeon VM: replaying the 26
+#: decode calls of one TAPS discovery (5–133 candidates × 453–11,466
+#: reports, 7.1M evaluations), the median of 31 interleaved runs is 42 ms
+#: at ``1 << 15`` against 51 ms at ``1 << 14`` and 46 ms at ``1 << 16``.
 _DECODE_BLOCK_ELEMENTS = 1 << 15
 
 #: Reports per inner decode block; the candidate chunk is derived from it
@@ -39,11 +39,31 @@ _DECODE_BLOCK_ELEMENTS = 1 << 15
 _DECODE_REPORT_BLOCK = 1 << 14
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64-style avalanche shared by every hash evaluation."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX_1
-    x = (x ^ (x >> np.uint64(27))) * _MIX_2
-    return x ^ (x >> np.uint64(31))
+def _mix_reduce(x: np.ndarray, tmp: np.ndarray, n_buckets: np.uint64) -> np.ndarray:
+    """Finish the seeded hash in place: mix ``x``, then reduce it into ``[0, n_buckets)``.
+
+    ``x`` holds ``(seed + GOLDEN) ^ (value * GOLDEN)`` as uint64 and ``tmp``
+    is uint64 scratch of the same shape; both are overwritten and ``x`` is
+    returned.  The mix is the splitmix64 avalanche.  The reduction is
+    ``x - (x // n) * n``, which equals ``x % n`` exactly: NumPy divides a
+    uint64 array by a scalar through libdivide (about 0.5 ns per element),
+    while its scalar ``%`` runs a hardware division per element (about
+    4 ns), half of the whole decode.  Both :func:`_universal_hash` (the
+    client side) and the decode scan call this one function, so the two
+    sides cannot drift apart.
+    """
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= _MIX_1
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= _MIX_2
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
+    np.floor_divide(x, n_buckets, out=tmp)
+    tmp *= n_buckets
+    x -= tmp
+    return x
 
 
 def _universal_hash(seeds: np.ndarray, values: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -53,10 +73,11 @@ def _universal_hash(seeds: np.ndarray, values: np.ndarray, n_buckets: int) -> np
     family: two users with different seeds hash the same value to
     (approximately) independent buckets.
     """
-    x = (np.asarray(seeds, dtype=np.uint64) + _GOLDEN) ^ (
-        np.asarray(values, dtype=np.uint64) * _GOLDEN
+    x = np.asarray(
+        (np.asarray(seeds, dtype=np.uint64) + _GOLDEN)
+        ^ (np.asarray(values, dtype=np.uint64) * _GOLDEN)
     )
-    return (_mix(x) % np.uint64(n_buckets)).astype(np.int64)
+    return _mix_reduce(x, np.empty_like(x), np.uint64(n_buckets)).astype(np.int64)
 
 
 class OptimizedLocalHashing(FrequencyOracle):
@@ -113,11 +134,21 @@ class OptimizedLocalHashing(FrequencyOracle):
         :meth:`support_counts` is this scan over the whole domain; ranges
         partitioning the domain concatenate to exactly its result.
 
-        The scan is blocked over (candidate-chunk × report-chunk) so its
-        uint64 scratch stays cache-resident for any batch size; integer
-        partial sums make the blocking bit-identical to a flat scan.
-        Wire-decoded report views (int64 seed view, small-uint bucket
-        view) are consumed without copies.
+        The scan is blocked over (candidate-chunk × report-chunk).  Each
+        block runs a fixed sequence of ufuncs with ``out=`` into scratch
+        allocated once per call, sized to the first block (ragged edge
+        blocks use a contiguous prefix of it), so the working set stays
+        cache-resident for any batch size and no block allocates.  The
+        scratch belongs to the call, never to the module or the oracle:
+        parties decode concurrently with one oracle on the thread backend.
+        The bucket reduction is ``x - (x // d') * d'``, not ``x % d'``: the
+        same remainder, but NumPy's scalar ``%`` on uint64 was half the
+        cost of a block (see :func:`_mix_reduce`).  Integer partial sums
+        make the blocking bit-identical to a flat scan; a block row holds
+        at most ``r_block`` matches, so it is summed in the smallest
+        unsigned dtype that holds ``r_block``.  Wire-decoded report views
+        (int64 seed view, small-uint bucket view) are consumed without
+        copies.
         """
         seeds, ys = reports
         seeds = np.asarray(seeds)
@@ -129,22 +160,31 @@ class OptimizedLocalHashing(FrequencyOracle):
         n = int(seeds.size)
         if n == 0:
             return counts
-        # Hoist the per-report halves of the hash out of both loops.
+        # Hoist the per-report and per-candidate halves of the hash out of
+        # both loops.
         seeds_mixed = seeds.astype(np.uint64, copy=False) + _GOLDEN
         ys_u64 = ys.astype(np.uint64, copy=False)
+        cand_mixed = np.arange(start, stop, dtype=np.uint64) * _GOLDEN
         r_block = min(n, _DECODE_REPORT_BLOCK)
         c_chunk = max(1, _DECODE_BLOCK_ELEMENTS // r_block)
-        for lo in range(start, stop, c_chunk):
-            hi = min(lo + c_chunk, stop)
-            cand_mixed = (
-                np.arange(lo, hi, dtype=np.uint64) * _GOLDEN
-            )[:, np.newaxis]
-            block_counts = np.zeros(hi - lo, dtype=np.int64)
+        row_dtype = np.min_scalar_type(r_block)
+        size = min(c_chunk, stop - start) * r_block
+        x_buf = np.empty(size, dtype=np.uint64)
+        tmp_buf = np.empty(size, dtype=np.uint64)
+        eq_buf = np.empty(size, dtype=np.bool_)
+        for lo in range(0, stop - start, c_chunk):
+            hi = min(lo + c_chunk, stop - start)
+            cand_column = cand_mixed[lo:hi, np.newaxis]
             for rlo in range(0, n, r_block):
                 rhi = min(rlo + r_block, n)
-                hashed = _mix(seeds_mixed[np.newaxis, rlo:rhi] ^ cand_mixed) % d_prime
-                block_counts += (hashed == ys_u64[rlo:rhi]).sum(axis=1)
-            counts[lo - start : hi - start] = block_counts
+                shape = (hi - lo, rhi - rlo)
+                m = shape[0] * shape[1]
+                x = x_buf[:m].reshape(shape)
+                eq = eq_buf[:m].reshape(shape)
+                np.bitwise_xor(seeds_mixed[rlo:rhi], cand_column, out=x)
+                _mix_reduce(x, tmp_buf[:m].reshape(shape), d_prime)
+                np.equal(x, ys_u64[rlo:rhi], out=eq)
+                counts[lo:hi] += eq.view(np.uint8).sum(axis=1, dtype=row_dtype)
         return counts
 
     def n_reports(self, reports: tuple[np.ndarray, np.ndarray]) -> int:
