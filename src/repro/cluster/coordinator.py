@@ -72,7 +72,11 @@ __all__ = ["ClusterConnection", "ClusterCoordinator", "parse_cluster_addresses"]
 
 @dataclass
 class _ClusterRound:
-    """Coordinator-side state of one logical round spanning every shard."""
+    """Coordinator-side state of one open logical round spanning every shard.
+
+    Closing the round (the finalize barrier, or a failed send) removes it
+    from :attr:`ClusterConnection._rounds`.
+    """
 
     round_id: int
     party: str
@@ -86,7 +90,6 @@ class _ClusterRound:
     next_seq: int = 0
     n_batches: int = 0
     upload_bits: int = 0
-    is_open: bool = True
 
 
 class ClusterConnection:
@@ -182,26 +185,27 @@ class ClusterConnection:
             code="shard_unavailable",
         )
 
-    def _on_shard(self, shard: int, fn, *args):
+    def _on_shard(self, shard: int, fn, *args, **kwargs):
         """Run one shard operation, mapping transport death to the
         structured ``shard_unavailable`` code.  Service errors the shard
         itself raises (the error-frame path) pass through untouched."""
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except (OSError, EOFError) as exc:
             raise self._unavailable(shard, exc) from exc
 
     def _round(self, round_id: int) -> _ClusterRound:
-        round_ = self._rounds.get(int(round_id))
-        if round_ is None:
-            raise ServiceError(
-                f"unknown cluster round id {round_id}", code="unknown_round"
-            )
-        if not round_.is_open:
+        round_id = int(round_id)
+        round_ = self._rounds.get(round_id)
+        if round_ is not None:
+            return round_
+        if 0 <= round_id < self._next_round_id:
+            # A closed round leaves the dict; its id was issued, so it
+            # reads as closed rather than unknown.
             raise ServiceError(
                 f"cluster round {round_id} is already finalized", code="round_closed"
             )
-        return round_
+        raise ServiceError(f"unknown cluster round id {round_id}", code="unknown_round")
 
     # ------------------------------------------------------------------ #
     # GatewayConnection surface
@@ -218,18 +222,20 @@ class ClusterConnection:
     def open_round(self, broadcast: RoundBroadcast) -> tuple[int, int]:
         """Open one logical round: a physical sub-round on every shard.
 
-        Returns ``(round_id, broadcast_bits)`` where the bits are the
-        **canonical** broadcast encoding, counted once — the N physical
+        The broadcast is encoded once and those exact bytes go to every
+        shard.  Returns ``(round_id, broadcast_bits)`` where the bits are
+        that **canonical** encoding's, counted once — the N physical
         broadcasts are shard fan-out, i.e. transport.  Every shard must
         account the broadcast at exactly the canonical size
         (``shard_mismatch`` otherwise: a disagreeing shard would poison
         bit-identity).
         """
-        canonical_bits = wire_bits(encode_broadcast(broadcast))
+        payload = encode_broadcast(broadcast)
+        canonical_bits = wire_bits(payload)
         shard_round_ids: list[int] = []
         for shard, conn in enumerate(self._connections):
             shard_round_id, shard_bits = self._on_shard(
-                shard, conn.open_round, broadcast
+                shard, conn.open_round, broadcast, payload=payload
             )
             if shard_bits != canonical_bits:
                 raise ServiceError(
@@ -286,7 +292,7 @@ class ClusterConnection:
             # round explicitly: a later finalize reports the structured
             # ``round_closed`` instead of a misleading ``shard_mismatch``
             # from totals this failure skewed.
-            round_.is_open = False
+            del self._rounds[round_.round_id]
             raise
         # Counters only move once the shard accepted the send: an
         # unsent batch must not inflate the totals the barrier validates.
@@ -325,7 +331,7 @@ class ClusterConnection:
         # The barrier consumes the round: shard sub-rounds close as their
         # states export, so a half-failed barrier must not be retried
         # against already-released shards.
-        round_.is_open = False
+        del self._rounds[round_.round_id]
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span(

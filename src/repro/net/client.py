@@ -264,8 +264,17 @@ class GatewayConnection:
         """Batches sent but not yet acknowledged."""
         return len(self._sent_at)
 
-    def open_round(self, broadcast: RoundBroadcast) -> tuple[int, int]:
-        """Open a round on the gateway; ``(round_id, broadcast_bits)``."""
+    def open_round(
+        self, broadcast: RoundBroadcast, *, payload: bytes | None = None
+    ) -> tuple[int, int]:
+        """Open a round on the gateway; ``(round_id, broadcast_bits)``.
+
+        ``payload`` is ``encode_broadcast(broadcast)`` when the caller
+        already holds it: a cluster encodes a round's broadcast once and
+        sends those bytes to every shard.
+        """
+        if payload is None:
+            payload = encode_broadcast(broadcast)
         span = None
         trace = None
         if self.tracer is not None:
@@ -277,7 +286,7 @@ class GatewayConnection:
             )
             if self._trace_wire:
                 trace = span.context.to_bytes()
-        self._send(FRAME_BROADCAST_REQUEST, encode_broadcast(broadcast), trace=trace)
+        self._send(FRAME_BROADCAST_REQUEST, payload, trace=trace)
         message = self._expect_control("round_open")
         round_id = int(message["round_id"])
         if span is not None:

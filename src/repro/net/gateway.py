@@ -7,9 +7,11 @@ by calling the embedded server directly, so it is the only thread that
 touches the server and totals cannot race.
 
 * **round lifecycle** — a broadcast-request frame opens a round (the
-  gateway reconstructs the round's oracle and candidate domain from the
-  decoded broadcast, then re-encodes it for accounting — canonical codecs
-  make the re-encoding byte-identical); an ``export_shard`` control
+  gateway reads the broadcast's header with
+  :func:`~repro.service.protocol.split_broadcast`, reconstructs the
+  round's oracle and domain size from it and accounts the broadcast from
+  the header; the packed prefix bits stay opaque, no prefix string is
+  ever built); an ``export_shard`` control
   message closes it and returns the round's exact, **unestimated** counts
   as a shard-state frame — the gateway never estimates: the client
   merges (one state here, one per shard in a cluster) and estimates
@@ -73,26 +75,28 @@ from repro.net.framing import (
 )
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
 from repro.obs.trace import SpanContext, Tracer
-from repro.service.protocol import WireFormatError, decode_broadcast, wire_bits
+from repro.service.protocol import WireFormatError, split_broadcast, wire_bits
 from repro.service.server import AggregationServer, ServiceError
 from repro.utils.validation import check_positive
 
-#: Protocol revision announced in the welcome message.
-PROTOCOL_VERSION = 1
+#: Protocol revision announced in the welcome message (2: packed-bit
+#: ``RBC2`` round broadcasts).
+PROTOCOL_VERSION = 2
 
 DEFAULT_CONNECTION_CREDITS = 32
 
 
 @dataclass(frozen=True)
 class _WireDomain:
-    """The candidate domain as reconstructed from a round broadcast.
+    """The candidate domain as a round broadcast's header describes it.
 
-    :meth:`AggregationServer.open_round` only reads ``size`` and
-    ``prefixes``, both of which the broadcast carries verbatim.
+    :meth:`AggregationServer.open_round` only reads these three fields,
+    all of which the header carries verbatim.
     """
 
     size: int
-    prefixes: tuple[str, ...]
+    n_candidates: int
+    prefix_length: int
 
 
 async def read_frame(
@@ -392,28 +396,31 @@ class AggregationGateway:
     # Round opening
     # ------------------------------------------------------------------ #
     async def _on_broadcast_request(self, state: _Connection, frame: Frame) -> None:
-        body = frame.body
         span = self._frame_span("gateway.open_round", frame)
         try:
-            broadcast = decode_broadcast(body)
-            n_prefixes = len(broadcast.prefixes)
-            if not n_prefixes <= broadcast.domain_size <= n_prefixes + 1:
+            # split_broadcast already ties the prefix count to the frame:
+            # n <= 2**L, and the packed bits are exactly ceil(n*L/8) bytes.
+            header, _ = split_broadcast(frame.body)
+            n_prefixes = header.n_prefixes
+            if not n_prefixes <= header.domain_size <= n_prefixes + 1:
                 # The candidate domain is its prefixes plus at most a dummy
                 # slot.  Enforcing that here ties the O(domain_size) shard
                 # allocation to the broadcast's actual frame size — a tiny
                 # frame cannot declare a multi-gigabyte domain.
                 raise WireFormatError(
-                    f"broadcast declares domain_size {broadcast.domain_size} "
+                    f"broadcast declares domain_size {header.domain_size} "
                     f"for {n_prefixes} prefixes (must be n or n+1)"
                 )
             try:
-                oracle = make_oracle(broadcast.oracle_name, broadcast.epsilon)
+                oracle = make_oracle(header.oracle_name, header.epsilon)
                 domain = _WireDomain(
-                    size=broadcast.domain_size, prefixes=broadcast.prefixes
+                    size=header.domain_size,
+                    n_candidates=n_prefixes,
+                    prefix_length=header.prefix_length,
                 )
                 round_id = self.server.open_round(
-                    party=broadcast.party,
-                    level=broadcast.level,
+                    party=header.party,
+                    level=header.level,
                     oracle=oracle,
                     domain=domain,
                 )
@@ -433,7 +440,7 @@ class AggregationGateway:
             return
         self._m_rounds_opened.inc()
         if span is not None:
-            span.finish(round_id=round_id, party=broadcast.party, level=broadcast.level)
+            span.finish(round_id=round_id, party=header.party, level=header.level)
         await state.send_control(
             {
                 "op": "round_open",
@@ -539,12 +546,11 @@ class AggregationGateway:
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
         """Wire-bit accounting and admission counters, JSON-safe."""
-        open_rounds = sum(1 for r in self.server.rounds.values() if r.is_open)
         return {
             "upload_bits": self.server.upload_bits(),
             "broadcast_bits": self.server.broadcast_bits(),
-            "rounds_opened": len(self.server.rounds),
-            "open_rounds": open_rounds,
+            "rounds_opened": self.server.rounds_opened,
+            "open_rounds": len(self.server.rounds),
             "connections_total": self.n_connections_total,
             "connections_live": len(self._connections),
             "frames_rejected": self.n_frames_rejected,

@@ -194,7 +194,6 @@ def serve_dataset(
                 n_users += batch.n_users
                 server.ingest_batch(round_id, batch)
             estimate = server.finalize_round(round_id)
-            round_state = server.rounds[round_id]
             counts = estimate.estimated_counts[: domain.n_candidates]
             order = np.argsort(counts)[::-1][:top]
             prefixes = domain.prefixes
@@ -204,10 +203,10 @@ def serve_dataset(
                     party=pool.name,
                     level=level,
                     n_users=n_users,
-                    n_batches=round_state.n_batches,
+                    n_batches=estimate.metadata["n_batches"],
                     domain_size=domain.size,
-                    upload_bits=round_state.upload_bits,
-                    broadcast_bits=round_state.broadcast_bits,
+                    upload_bits=estimate.metadata["upload_bits"],
+                    broadcast_bits=estimate.metadata["broadcast_bits"],
                     top_prefixes=tuple(
                         (prefixes[i], float(counts[i])) for i in order
                     ),

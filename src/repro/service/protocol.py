@@ -12,7 +12,8 @@ Layout (little-endian throughout)::
 
     report batch:  b"RPB1" | oracle | party | level u32 | domain u32 |
                    value_domain u32 | n_users u32 | epsilon f64 | payload
-    broadcast:     b"RBC1" | canonical JSON body
+    broadcast:     b"RBC2" | header_len u32 | canonical JSON header |
+                   packed prefix bits
 
 where strings are u16-length-prefixed UTF-8 and the payload format is
 per-oracle (registered in :data:`REPORT_CODECS`):
@@ -23,6 +24,16 @@ per-oracle (registered in :data:`REPORT_CODECS`):
   indexes the candidate domain;
 * OLH — one 64-bit hash seed plus one bucket index per user, the bucket in
   the smallest unsigned dtype that indexes the hashed domain ``d'``.
+
+A broadcast's prefixes all share one length ``L`` (a
+:class:`~repro.trie.candidate_domain.CandidateDomain` enforces it), so its
+body is the header ``{party, level, oracle, epsilon, domain_size, n, L}``
+followed by the ``n·L`` prefix bits, concatenated in candidate order and
+packed with :func:`numpy.packbits` into ``ceil(n·L/8)`` bytes (zero pad
+bits).  The header alone fixes the encoded size
+(:func:`broadcast_wire_bits`), so a server accounts a broadcast without
+encoding it, and a gateway opens a round from :func:`split_broadcast`
+without building a single prefix string.
 """
 
 from __future__ import annotations
@@ -37,7 +48,8 @@ import numpy as np
 from repro.ldp.packed import PackedUnaryReports
 
 _REPORT_MAGIC = b"RPB1"
-_BROADCAST_MAGIC = b"RBC1"
+_BROADCAST_MAGIC = b"RBC2"
+_ZERO, _SEPARATOR = ord("0"), ord(",")
 
 
 class WireFormatError(ValueError):
@@ -87,6 +99,28 @@ class RoundBroadcast:
     epsilon: float
     domain_size: int
     prefixes: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class BroadcastHeader:
+    """Everything a round broadcast carries except its prefix bits.
+
+    ``n_prefixes`` prefixes of ``prefix_length`` bits each follow the
+    header on the wire, packed into :attr:`packed_size` bytes.
+    """
+
+    party: str
+    level: int
+    oracle_name: str
+    epsilon: float
+    domain_size: int
+    n_prefixes: int
+    prefix_length: int
+
+    @property
+    def packed_size(self) -> int:
+        """Bytes of the packed ``n·L`` prefix bits."""
+        return (self.n_prefixes * self.prefix_length + 7) // 8
 
 
 # ---------------------------------------------------------------------- #
@@ -331,63 +365,181 @@ def decode_report_batch(data: bytes) -> ReportBatch:
 # ---------------------------------------------------------------------- #
 # Round broadcasts
 # ---------------------------------------------------------------------- #
-def encode_broadcast(broadcast: RoundBroadcast) -> bytes:
-    """Serialise a round-opening broadcast (canonical JSON body)."""
-    body = json.dumps(
+def _encode_broadcast_header(header: BroadcastHeader) -> bytes:
+    return json.dumps(
         {
-            "party": broadcast.party,
-            "level": broadcast.level,
-            "oracle": broadcast.oracle_name,
-            "epsilon": broadcast.epsilon,
-            "domain_size": broadcast.domain_size,
-            "prefixes": list(broadcast.prefixes),
+            "party": header.party,
+            "level": header.level,
+            "oracle": header.oracle_name,
+            "epsilon": header.epsilon,
+            "domain_size": header.domain_size,
+            "n": header.n_prefixes,
+            "L": header.prefix_length,
         },
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    return _BROADCAST_MAGIC + body
 
 
-def decode_broadcast(data: bytes) -> RoundBroadcast:
-    """Reconstruct a :class:`RoundBroadcast` from wire bytes."""
-    if data[:4] != _BROADCAST_MAGIC:
+def _check_prefix_count(n: int, length: int) -> None:
+    # Distinct L-bit prefixes number at most 2**L.  Compared through
+    # bit_length, so a header declaring a huge L costs no huge integer;
+    # with L = 0 a broadcast carries at most the one empty prefix.
+    if n > 0 and (n - 1).bit_length() > length:
         raise WireFormatError(
-            f"bad broadcast magic {data[:4]!r}, expected {_BROADCAST_MAGIC!r}"
+            f"broadcast declares {n} prefixes of {length} bits "
+            f"(at most 2**{length} exist)"
         )
-    try:
-        body = json.loads(data[4:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireFormatError(f"broadcast body does not parse: {exc}") from exc
-    # The body came off a wire: any malformed shape (non-mapping, missing
-    # keys, wrong value types) must surface as WireFormatError, never as a
-    # raw KeyError/TypeError a server loop would treat as an internal bug.
-    try:
-        if not isinstance(body["prefixes"], list):
-            # tuple() would happily split a JSON *string* into characters —
-            # a silent mis-decode, the one failure mode worse than an error.
+
+
+def broadcast_wire_bits(header: BroadcastHeader) -> int:
+    """Exact size in bits of the broadcast with ``header``, never encoded.
+
+    Equals ``wire_bits(encode_broadcast(b))`` for every broadcast ``b``
+    with this header: magic, length prefix, canonical header, packed bits.
+    """
+    header_size = len(_encode_broadcast_header(header))
+    return 8 * (len(_BROADCAST_MAGIC) + 4 + header_size + header.packed_size)
+
+
+def encode_broadcast(broadcast: RoundBroadcast) -> bytes:
+    """Serialise a round-opening broadcast: header plus packed prefix bits.
+
+    Every prefix must be a string of ``0``/``1`` of one common length;
+    anything else raises :class:`WireFormatError`.
+    """
+    prefixes = broadcast.prefixes
+    n = len(prefixes)
+    if n and not isinstance(prefixes[0], str):
+        raise WireFormatError("broadcast prefixes must be 0/1 strings")
+    length = len(prefixes[0]) if n else 0
+    _check_prefix_count(n, length)
+    header = BroadcastHeader(
+        party=broadcast.party,
+        level=int(broadcast.level),
+        oracle_name=broadcast.oracle_name,
+        epsilon=float(broadcast.epsilon),
+        domain_size=int(broadcast.domain_size),
+        n_prefixes=n,
+        prefix_length=length,
+    )
+    head = _encode_broadcast_header(header)
+    packed = b""
+    if n:
+        # One separator after every prefix: the text is n rows of L + 1
+        # bytes exactly when every prefix has L characters, so a single
+        # reshape checks all lengths (no per-prefix Python pass).
+        try:
+            text = ",".join([*prefixes, ""]).encode("ascii")
+        except (TypeError, UnicodeEncodeError) as exc:
+            raise WireFormatError(f"broadcast prefixes must be 0/1 strings: {exc}") from exc
+        if len(text) != n * (length + 1):
             raise WireFormatError(
-                f"broadcast prefixes must be a list, "
-                f"got {type(body['prefixes']).__name__}"
+                f"broadcast prefixes must share one length ({length})"
             )
-        broadcast = RoundBroadcast(
-            party=body["party"],
-            level=int(body["level"]),
-            oracle_name=body["oracle"],
-            epsilon=float(body["epsilon"]),
-            domain_size=int(body["domain_size"]),
-            prefixes=tuple(body["prefixes"]),
+        rows = np.frombuffer(text, dtype=np.uint8).reshape(n, length + 1)
+        if (rows[:, length] != _SEPARATOR).any():
+            raise WireFormatError(
+                f"broadcast prefixes must share one length ({length})"
+            )
+        # uint8 arithmetic wraps: anything but "0"/"1" lands above 1.
+        bits = rows[:, :length] - np.uint8(_ZERO)
+        if bits.size and bits.max() > 1:
+            raise WireFormatError("broadcast prefixes must contain only 0 and 1")
+        packed = np.packbits(bits).tobytes()
+    return b"".join(
+        (_BROADCAST_MAGIC, struct.pack("<I", len(head)), head, packed)
+    )
+
+
+def _header_int(body: dict, key: str, *, non_negative: bool = True) -> int:
+    value = body[key]
+    if type(value) is not int or (non_negative and value < 0):
+        raise WireFormatError(f"broadcast {key} must be a non-negative integer")
+    return value
+
+
+def split_broadcast(data) -> tuple[BroadcastHeader, memoryview]:
+    """Parse a broadcast's header; return it and a zero-copy view of the bits.
+
+    Builds no prefix string.  The header must be the canonical encoding,
+    declare at most ``2**L`` prefixes, and the packed bits must be exactly
+    ``ceil(n·L/8)`` bytes with zero padding — so ``len(data) * 8`` is
+    :func:`broadcast_wire_bits` of the header, and a small frame cannot
+    declare a large domain.  :func:`decode_broadcast` builds on this.
+    """
+    if bytes(data[:4]) != _BROADCAST_MAGIC:
+        raise WireFormatError(
+            f"bad broadcast magic {bytes(data[:4])!r}, expected {_BROADCAST_MAGIC!r}"
         )
-    except WireFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireFormatError(f"broadcast body is malformed: {exc!r}") from exc
-    if not isinstance(broadcast.party, str) or not isinstance(
-        broadcast.oracle_name, str
-    ):
+    view = memoryview(data)
+    if len(view) < 8:
+        raise WireFormatError(f"broadcast of {len(view)} bytes has no header length")
+    (head_size,) = struct.unpack_from("<I", view, 4)
+    head_end = 8 + head_size
+    if head_end > len(view):
+        raise WireFormatError(
+            f"broadcast header of {head_size} bytes overruns the "
+            f"{len(view)}-byte buffer"
+        )
+    head = bytes(view[8:head_end])
+    try:
+        body = json.loads(head.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise WireFormatError(f"broadcast header does not parse: {exc}") from exc
+    # The header came off a wire: any malformed shape (non-mapping,
+    # missing keys, wrong value types) must surface as WireFormatError,
+    # never as a raw KeyError/TypeError a server loop would treat as an
+    # internal bug.
+    if not isinstance(body, dict):
+        raise WireFormatError("broadcast header must be a JSON object")
+    try:
+        party, oracle_name, epsilon = body["party"], body["oracle"], body["epsilon"]
+        header = BroadcastHeader(
+            party=party,
+            level=_header_int(body, "level", non_negative=False),
+            oracle_name=oracle_name,
+            epsilon=epsilon,
+            domain_size=_header_int(body, "domain_size"),
+            n_prefixes=_header_int(body, "n"),
+            prefix_length=_header_int(body, "L"),
+        )
+    except KeyError as exc:
+        raise WireFormatError(f"broadcast header lacks {exc}") from None
+    if not isinstance(party, str) or not isinstance(oracle_name, str):
         raise WireFormatError("broadcast party/oracle must be strings")
-    if not all(isinstance(p, str) for p in broadcast.prefixes):
-        raise WireFormatError("broadcast prefixes must be strings")
-    return broadcast
+    if type(epsilon) is not float:
+        raise WireFormatError("broadcast epsilon must be a float")
+    if _encode_broadcast_header(header) != head:
+        raise WireFormatError("broadcast header is not in canonical form")
+    _check_prefix_count(header.n_prefixes, header.prefix_length)
+    packed = view[head_end:]
+    if len(packed) != header.packed_size:
+        raise WireFormatError(
+            f"broadcast carries {len(packed)} bytes of prefix bits, "
+            f"{header.n_prefixes} prefixes of {header.prefix_length} bits "
+            f"need {header.packed_size}"
+        )
+    pad = 8 * header.packed_size - header.n_prefixes * header.prefix_length
+    if pad and packed[-1] & ((1 << pad) - 1):
+        raise WireFormatError("broadcast pad bits must be zero")
+    return header, packed
+
+
+def decode_broadcast(data) -> RoundBroadcast:
+    """Reconstruct a :class:`RoundBroadcast` (prefix strings included)."""
+    header, packed = split_broadcast(data)
+    n, length = header.n_prefixes, header.prefix_length
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * length)
+    text = (bits + np.uint8(_ZERO)).tobytes().decode("ascii")
+    return RoundBroadcast(
+        party=header.party,
+        level=header.level,
+        oracle_name=header.oracle_name,
+        epsilon=header.epsilon,
+        domain_size=header.domain_size,
+        prefixes=tuple(text[i * length : (i + 1) * length] for i in range(n)),
+    )
 
 
 def wire_bits(payload: bytes) -> int:

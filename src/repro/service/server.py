@@ -34,10 +34,10 @@ from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.ldp.registry import make_oracle
 from repro.service.clients import iter_perturbed_batches
 from repro.service.protocol import (
+    BroadcastHeader,
     ReportBatch,
-    RoundBroadcast,
+    broadcast_wire_bits,
     decode_report_batch,
-    encode_broadcast,
     encode_report_batch,
     wire_bits,
 )
@@ -180,10 +180,11 @@ def estimate_exported(states: list[ExportedShardState]) -> EstimationResult:
 
 @dataclass
 class ServiceRound:
-    """Server-side state of one streamed frequency-oracle round.
+    """Server-side state of one open streamed frequency-oracle round.
 
-    ``shard`` is released on finalisation so a long-lived server holds
-    ``O(domain_size)`` state only for its *open* rounds.
+    Closing the round (finalise or export) removes it from
+    :attr:`AggregationServer.rounds`, shard and bookkeeping alike, so a
+    long-lived server holds state only for its *open* rounds.
     """
 
     round_id: int
@@ -191,8 +192,7 @@ class ServiceRound:
     level: int
     oracle: FrequencyOracle
     domain_size: int
-    shard: LevelShard | None
-    is_open: bool = True
+    shard: LevelShard
     n_batches: int = 0
     upload_bits: int = 0
     broadcast_bits: int = 0
@@ -291,22 +291,27 @@ class AggregationServer:
         """Open a streamed round over ``domain`` and broadcast it to clients.
 
         ``domain`` is a :class:`~repro.trie.candidate_domain.CandidateDomain`
-        (anything with ``size`` and ``prefixes`` works); the broadcast that
-        announces the candidate prefixes is logged with its exact encoded
-        size, replacing the batch simulations' analytic pair accounting.
+        (anything with ``size``, ``n_candidates`` and ``prefix_length``
+        works); the broadcast that announces the candidate prefixes is
+        logged with its exact encoded size, replacing the batch
+        simulations' analytic pair accounting.  That size follows from the
+        broadcast header alone (:func:`~repro.service.protocol.
+        broadcast_wire_bits`), so the broadcast is never encoded here.
         """
         round_id = self._next_round_id
         self._next_round_id += 1
         shard = LevelShard(oracle, domain.size, defense=self.defense)
-        broadcast = RoundBroadcast(
-            party=party,
-            level=int(level),
-            oracle_name=oracle.name,
-            epsilon=oracle.epsilon,
-            domain_size=int(domain.size),
-            prefixes=tuple(domain.prefixes),
+        bits = broadcast_wire_bits(
+            BroadcastHeader(
+                party=party,
+                level=int(level),
+                oracle_name=oracle.name,
+                epsilon=float(oracle.epsilon),
+                domain_size=int(domain.size),
+                n_prefixes=int(domain.n_candidates),
+                prefix_length=int(domain.prefix_length),
+            )
         )
-        bits = wire_bits(encode_broadcast(broadcast))
         round_ = ServiceRound(
             round_id=round_id,
             party=party,
@@ -332,17 +337,29 @@ class AggregationServer:
         )
         return round_id
 
-    def _round(self, round_id: int, *, require_open: bool = True) -> ServiceRound:
-        try:
-            round_ = self.rounds[round_id]
-        except KeyError:
-            raise ServiceError(
-                f"unknown round {round_id}", code="unknown_round"
-            ) from None
-        if require_open and not round_.is_open:
+    @property
+    def rounds_opened(self) -> int:
+        """Rounds ever opened on this server (open and closed)."""
+        return self._next_round_id
+
+    def _round(self, round_id: int) -> ServiceRound:
+        round_ = self.rounds.get(round_id)
+        if round_ is not None:
+            return round_
+        if 0 <= round_id < self._next_round_id:
+            # Ids are handed out in order and a closed round leaves the
+            # dict, so an issued id that is missing was closed.
             raise ServiceError(
                 f"round {round_id} is already finalised", code="round_closed"
             )
+        raise ServiceError(f"unknown round {round_id}", code="unknown_round")
+
+    def _close(self, round_id: int) -> ServiceRound:
+        """Remove an open round, shard and bookkeeping, and return it."""
+        round_ = self._round(round_id)
+        del self.rounds[round_id]
+        if self._m_rounds_finalized is not None:
+            self._m_rounds_finalized.inc()
         return round_
 
     # ------------------------------------------------------------------ #
@@ -421,16 +438,12 @@ class AggregationServer:
 
         The estimation mirrors :meth:`repro.ldp.base.FrequencyOracle.run`
         operation-for-operation, so a streamed round finalises bit-identical
-        to the in-memory computation over the same supports.  The round's
-        shard is released: a long-lived server only pays ``O(domain_size)``
-        for rounds still open.
+        to the in-memory computation over the same supports.  The round is
+        released: a long-lived server only holds state for rounds still
+        open.
         """
-        round_ = self._round(round_id)
-        round_.is_open = False
+        round_ = self._close(round_id)
         shard = round_.shard
-        round_.shard = None
-        if self._m_rounds_finalized is not None:
-            self._m_rounds_finalized.inc()
         return finalize_estimate(
             round_.oracle,
             shard.effective_counts(),
@@ -446,17 +459,13 @@ class AggregationServer:
 
         The gateway half of every networked round close
         (``{"op": "export_shard"}`` on the wire): the round ends exactly
-        like :meth:`finalize_round` — closed, shard released — but the
+        like :meth:`finalize_round` — closed and released — but the
         exact int64 counts leave the server instead of an estimate, so
         the client can merge them (with other shards' states, in a
         cluster) and estimate once (:func:`estimate_exported`).
         """
-        round_ = self._round(round_id)
-        round_.is_open = False
+        round_ = self._close(round_id)
         shard = round_.shard
-        round_.shard = None
-        if self._m_rounds_finalized is not None:
-            self._m_rounds_finalized.inc()
         return ExportedShardState(
             party=round_.party,
             level=round_.level,

@@ -317,9 +317,17 @@ class TestFailureTaxonomy:
                 round_id, domain = _open_test_round(connection)
                 connection.send_batch(round_id, _one_payload(domain))
                 connection.finalize(round_id)
+                # The closed round leaves no coordinator bookkeeping behind.
+                assert round_id not in connection._rounds
                 with pytest.raises(ServiceError) as err:
                     connection.finalize(round_id)
                 assert err.value.code == "round_closed"
+                with pytest.raises(ServiceError) as err:
+                    connection.send_batch(round_id, _one_payload(domain))
+                assert err.value.code == "round_closed"
+                with pytest.raises(ServiceError) as err:
+                    connection.finalize(round_id + 1)
+                assert err.value.code == "unknown_round"
         finally:
             gateway.close()
 

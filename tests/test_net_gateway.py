@@ -301,7 +301,7 @@ class TestAdmissionControl:
         metrics document scales with the gateway's series, not the
         batch) may exceed it and must still reach the client."""
         with start_gateway(max_frame_bytes=1024) as handle:
-            # Level 3: the broadcast request (133 B), every batch and the
+            # Level 3: the broadcast request (95 B), every batch and the
             # shard-state reply stay under the bound; the metrics document
             # exceeds it.
             domain = CandidateDomain.full_domain(3)
@@ -475,10 +475,18 @@ class TestCoordinatorOverOneGateway:
         assert clone._connection is None
         server.shutdown()
 
-    def test_broadcast_bits_cross_check(self, gateway):
-        """The gateway's accounting of the open equals the canonical bytes."""
-        domain = CandidateDomain.full_domain(4)
-        broadcast = _broadcast(domain, party="check")
+    @pytest.mark.parametrize("level", [0, 1, 4, 14])
+    def test_broadcast_bits_cross_check(self, gateway, level):
+        """The gateway's accounting of the open equals the canonical bytes
+        and the in-process server's ``broadcast_bits`` for the same round."""
+        domain = CandidateDomain.full_domain(level, include_dummy=level > 0)
+        broadcast = _broadcast(domain, party="check", level=level)
         with GatewayConnection(gateway.address) as connection:
-            _, bits = connection.open_round(broadcast)
+            round_id, bits = connection.open_round(broadcast)
+            connection.export_shard(round_id)
         assert bits == wire_bits(encode_broadcast(broadcast))
+        server = AggregationServer()
+        server.open_round(
+            party="check", level=level, oracle=make_oracle("krr", 4.0), domain=domain
+        )
+        assert bits == server.broadcast_bits()

@@ -109,8 +109,44 @@ class TestAccounting:
         server.drain_messages()
         assert server.upload_bits() == upload
         assert server.broadcast_bits() == broadcast
-        # Finalisation released the O(domain) accumulator.
-        assert server.rounds[round_id].shard is None
+        # Finalisation released the round, accumulator and bookkeeping.
+        assert round_id not in server.rounds
+        with pytest.raises(ServiceError) as excinfo:
+            server.finalize_round(round_id)
+        assert excinfo.value.code == "round_closed"
+
+
+class TestClosedRoundEviction:
+    """A closed round leaves nothing behind, yet keeps its error code."""
+
+    def test_export_releases_the_round(self):
+        oracle = make_oracle("krr", epsilon=2.0)
+        domain = _domain(3)
+        server = AggregationServer()
+        first = server.open_round(party="a", level=3, oracle=oracle, domain=domain)
+        second = server.open_round(party="a", level=3, oracle=oracle, domain=domain)
+        server.export_shard(first)
+        assert list(server.rounds) == [second]
+        server.finalize_round(second)
+        assert server.rounds == {}
+        assert server.rounds_opened == 2
+        for round_id in (first, second):
+            for close in (server.export_shard, server.finalize_round):
+                with pytest.raises(ServiceError) as excinfo:
+                    close(round_id)
+                assert excinfo.value.code == "round_closed"
+
+    @pytest.mark.parametrize("round_id", [-1, 2, 10**9])
+    def test_never_issued_ids_are_unknown(self, round_id):
+        oracle = make_oracle("krr", epsilon=2.0)
+        server = AggregationServer()
+        for _ in range(2):
+            server.finalize_round(
+                server.open_round(party="a", level=3, oracle=oracle, domain=_domain(3))
+            )
+        with pytest.raises(ServiceError) as excinfo:
+            server.finalize_round(round_id)
+        assert excinfo.value.code == "unknown_round"
 
 
 class TestProtocolErrors:
