@@ -135,7 +135,7 @@ class FrequencyOracle(abc.ABC):
         folding a stream batch by batch never materialises more than one
         batch of reports, and the accumulator stays ``O(domain_size)``.
         A service shard adds the same :meth:`support_counts` vector
-        (:meth:`repro.service.shards.LevelShard.ingest_counts`).
+        (:meth:`repro.service.shards.LevelShard.ingest`).
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (int(domain_size),):
@@ -155,8 +155,8 @@ class FrequencyOracle(abc.ABC):
         unpack to the dense matrix, then :meth:`accumulate` — so any
         oracle whose report representation is the ``(n, d)`` bit matrix
         works unchanged; the unary oracles override it with the packed
-        popcount kernel that never materialises the matrix
-        (:func:`repro.ldp.packed.packed_column_counts`).
+        kernel, which unpacks and sums bounded blocks and never
+        materialises the matrix (:func:`repro.ldp.packed.packed_column_counts`).
         """
         return self.accumulate(counts, packed.unpack(), domain_size)
 

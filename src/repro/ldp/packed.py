@@ -12,9 +12,11 @@ sizes).  This module keeps reports **in the packed domain end to end**:
   :func:`numpy.frombuffer`), with the dense matrix available only as an
   explicit, lazy fallback (:meth:`PackedUnaryReports.unpack`);
 * :func:`packed_column_counts` — per-candidate support counts straight
-  off the packed bytes: a blocked ``np.bincount`` over byte values folded
-  through a 256×8 bit-expansion table, touching ``d/8`` bytes per report
-  instead of ``d`` booleans and never materialising the matrix;
+  off the packed bytes: ``np.unpackbits`` over blocks of at most 255
+  rows (each row several reports long when the domain is narrow), each
+  summed exactly in ``uint8`` and added into an int64 accumulator, so
+  the scratch is one bounded block and the ``(n, d)`` matrix is never
+  materialised;
 * :func:`sample_unary_reports` — the shared perturbation sampler of the
   unary oracles.  Flipped bits are drawn sparsely (geometric gaps over
   the flattened ``n × d`` Bernoulli grid — the textbook inverse-CDF
@@ -35,17 +37,15 @@ import numpy as np
 
 from repro.utils.rng import RandomState, as_generator
 
-#: Bit-expansion lookup table: ``_BIT_TABLE[v, b]`` is bit ``b`` (MSB
-#: first, matching ``numpy.packbits``'s default big-endian bit order) of
-#: the byte value ``v``.  A byte-value histogram times this table yields
-#: the per-column bit counts of a packed block in one tiny matmul.
-_BIT_TABLE: np.ndarray = (
-    (np.arange(256, dtype=np.int64)[:, None] >> np.arange(7, -1, -1)[None, :]) & 1
-)
+#: Scratch budget of :func:`packed_column_counts`: the most bytes (one
+#: per bit) one block unpacks.  Kept under glibc's 128 KiB mmap threshold,
+#: so every block's buffer is recycled from the heap instead of being a
+#: fresh, page-faulting mapping (see the kernel's docstring).
+_COUNT_BLOCK_BYTES = 120 << 10
 
-#: Elements per histogram block of :func:`packed_column_counts`; bounds the
-#: kernel's scratch (the offset-shifted byte block) to stay cache-resident.
-_KERNEL_BLOCK_ELEMENTS = 1 << 18
+#: Target length, in bits, of one lane row of :func:`packed_column_counts`:
+#: reports are grouped until a row of the block is about this long.
+_COUNT_LANE_BITS = 1 << 11
 
 #: Largest ``n * d`` (in bits) for which the packed sampler scatters
 #: through a transient boolean scratch before packing: at small batch
@@ -205,18 +205,57 @@ class PackedUnaryReports:
 def packed_column_counts(data: np.ndarray, domain_size: int) -> np.ndarray:
     """Column (candidate) support counts straight off packed bytes.
 
-    The blocked popcount/LUT kernel: per row block, every byte is shifted
-    into its byte-column's 256-bin slot and histogrammed with one
-    ``np.bincount``; the ``(row_bytes, 256)`` histogram then folds through
-    the 256×8 bit-expansion table into per-column counts.  Work touched is
-    ``n × ceil(d/8)`` bytes — the wire size — plus an ``O(256·d)`` matmul,
-    and the scratch block stays cache-resident regardless of batch size.
+    A blocked unpack-and-sum.  A *lane row* is ``group`` consecutive
+    reports, about ``_COUNT_LANE_BITS`` bits, and lane ``j`` holds column
+    ``j % width`` (``width = 8 * row_bytes``).  Per block of at most 255
+    lane rows and ``_COUNT_BLOCK_BYTES`` bytes, one ``np.unpackbits`` over
+    the block's contiguous bytes gives a ``(rows, lanes)`` array of one
+    byte per bit, and ``np.add.reduce(..., dtype=np.uint8)`` sums it into
+    one reused ``uint8`` lane vector, which is exact: a lane of 255 rows
+    holds at most 255 ones.  That vector is added into an int64
+    accumulator; the reports after the last whole lane row are added
+    into it bit by bit, and the accumulator folds to per-column counts at
+    the end.
+
+    Why lane rows: the reduction pays a fixed cost per row, so rows of a
+    few hundred bytes (one 257-column report) or eight (one 7-column
+    report) spend most of it there.  Grouped into ~2 KiB rows, every
+    width runs the same long rows.  Why the budget: in a gateway process
+    a block buffer of 128 KiB or more is a fresh ``mmap`` per block, and
+    its page faults cost more than the unpacking.  With 2^19-byte blocks
+    a gateway fed pre-encoded 4096 × 257 batches took 223 minor faults
+    and about 1,010 µs of CPU per batch; with 120 KiB blocks, 6 faults
+    and 439–469 µs (the old kernel: 959–1,082 µs).
+
+    Per call against the byte-value ``np.bincount`` + 256×8 table kernel
+    it replaced (2-core Xeon VM, NumPy 2.4; medians of two runs of seven
+    repeats, outputs equal with ``==``), reports × columns:
+
+    ===========================  ==============  ==============
+    shape                        table kernel    this kernel
+    ===========================  ==============  ==============
+    4096 × 257 (perfbench)       519–538 µs      231–246 µs
+    1000 × 16,385                27.0–27.6 ms    4.6–5.3 ms
+    453 × 11,466                 11.7–13.9 ms    1.2–1.4 ms
+    4096 × 65                    141–143 µs      65 µs
+    11,465 × 73 (OUE TAPS)       368–412 µs      161–193 µs
+    11,466 × 33 (OUE TAPS)       198–267 µs      77–113 µs
+    8,599 × 7 (OUE TAPS)         27–36 µs        26–35 µs
+    ===========================  ==============  ==============
+
+    The last three are the largest unary shapes of an OUE TAPS discovery
+    on the ``rdb`` dataset at ``scale="large"``.  With one report per
+    lane row and 255-row blocks, the narrow ones were slower than the
+    table kernel (8,599 × 7 about 450 µs, 11,466 × 33 about 670 µs).
+    Lane rows of 1, 4 and 8 Kibit measured no faster than 2 Kibit on
+    these shapes.  A uint32 accumulator measured no faster than int64,
+    which needs no final cast.
 
     Bit-identical to ``unpack-then-sum``: padding bits beyond
     ``domain_size`` land in columns the final slice drops, exactly like
     the dense path's ``[:, :domain_size]``.
     """
-    data = np.asarray(data, dtype=np.uint8)
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.ndim != 2:
         raise ValueError(f"expected an (n, row_bytes) byte array, got {data.shape}")
     domain_size = int(domain_size)
@@ -225,23 +264,23 @@ def packed_column_counts(data: np.ndarray, domain_size: int) -> np.ndarray:
         raise ValueError(
             f"row width {row_bytes} does not match domain size {domain_size}"
         )
-    if n == 0:
-        return np.zeros(domain_size, dtype=np.int64)
-    # Each byte-column gets its own 256-bin slot: value v in column c
-    # histograms into bin c*256 + v.  The offset add goes straight to
-    # int64 so bincount consumes the block without an internal cast.
-    offsets = (np.arange(row_bytes, dtype=np.int64) << 8)[None, :]
-    block = max(1, _KERNEL_BLOCK_ELEMENTS // row_bytes)
-    if n <= block:
-        # One block: bincount straight into the histogram, no accumulator.
-        hist = np.bincount((data + offsets).ravel(), minlength=row_bytes * 256)
-    else:
-        hist = np.zeros(row_bytes * 256, dtype=np.int64)
-        for lo in range(0, n, block):
-            chunk = data[lo : lo + block] + offsets
-            hist += np.bincount(chunk.ravel(), minlength=row_bytes * 256)
-    counts = hist.reshape(row_bytes, 256) @ _BIT_TABLE
-    return counts.reshape(row_bytes * 8)[:domain_size]
+    width = row_bytes * 8
+    group = max(1, _COUNT_LANE_BITS // width)
+    lanes = group * width
+    step = max(1, min(255, _COUNT_BLOCK_BYTES // lanes))
+    stride = group * row_bytes  # packed bytes per lane row
+    full = n // group
+    flat = data.reshape(-1)
+    counts = np.zeros(lanes, dtype=np.int64)
+    part = np.empty(lanes, dtype=np.uint8)
+    for lo in range(0, full, step):
+        k = min(step, full - lo)
+        bits = np.unpackbits(flat[lo * stride : (lo + k) * stride])
+        np.add.reduce(bits.reshape(k, lanes), axis=0, dtype=np.uint8, out=part)
+        counts += part
+    tail = np.unpackbits(flat[full * stride :])
+    counts[: tail.size] += tail
+    return counts.reshape(group, width).sum(axis=0)[:domain_size]
 
 
 # --------------------------------------------------------------------------- #

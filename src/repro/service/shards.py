@@ -8,9 +8,10 @@ ingesting a report stream whole, in any batching, or in separately-built
 shards that are merged afterwards all produce identical counts (the algebra
 ``tests/test_service_shards.py`` pins down).
 
-Every fold goes through one path, :meth:`LevelShard.ingest_counts`: a
-decoded batch is first reduced to its ``oracle.support_counts`` vector (the
-packed popcount for unary oracles, the blocked hash scan for OLH).
+Every fold goes through one path, :meth:`LevelShard.ingest`: a decoded
+batch is reduced to its ``oracle.support_counts`` vector (the packed
+unpack-and-sum kernel for unary oracles, the blocked hash scan for OLH)
+and added in.
 """
 
 from __future__ import annotations
@@ -63,29 +64,24 @@ class LevelShard:
     # Ingestion
     # ------------------------------------------------------------------ #
     def ingest(self, reports: object) -> int:
-        """Fold one report batch into the accumulator; returns its size."""
-        return self.ingest_counts(
-            self.oracle.support_counts(reports, self.domain_size),
-            self.oracle.n_reports(reports),
-        )
+        """Fold one report batch into the accumulator; returns its size.
 
-    def ingest_counts(self, counts: np.ndarray, n_users: int) -> int:
-        """Fold exact support counts into the accumulator; returns ``n_users``.
-
-        The one fold of the shard: :meth:`ingest` counts a decoded batch
-        and lands here.
+        The one fold of the shard: the batch is reduced to its
+        ``oracle.support_counts`` vector, which is added in.  A batch the
+        oracle cannot count over this domain (a packed batch of another
+        width, a k-RR value past the domain) is refused before any state
+        changes.
         """
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = self.oracle.support_counts(reports, self.domain_size)
         if counts.shape != (self.domain_size,):
             raise ShardError(
                 f"support counts have shape {counts.shape}, "
                 f"expected ({self.domain_size},)"
             )
-        n = int(n_users)
-        if n < 0:
-            raise ShardError(f"n_users must be non-negative, got {n}")
+        n = self.oracle.n_reports(reports)
         if self._sources is not None:
-            self._sources.append((counts.copy(), n))
+            # ``support_counts`` returns a fresh vector: nothing aliases it.
+            self._sources.append((counts, n))
         self.counts = self.oracle.merge_counts(self.counts, counts)
         self.n_users += n
         self.n_batches += 1

@@ -53,30 +53,107 @@ def test_column_counts_equal_unpack_sum(d, n):
     np.testing.assert_array_equal(reports.column_counts(), expected)
 
 
-def test_column_counts_blocked_kernel_spans_blocks(monkeypatch):
-    """Counts are identical when the kernel needs several histogram blocks."""
+def _patch_kernel(monkeypatch, lane_bits: int, block_bytes: int) -> None:
     import repro.ldp.packed as packed_mod
 
+    monkeypatch.setattr(packed_mod, "_COUNT_LANE_BITS", lane_bits)
+    monkeypatch.setattr(packed_mod, "_COUNT_BLOCK_BYTES", block_bytes)
+
+
+def test_column_counts_blocked_kernel_spans_blocks(monkeypatch):
+    """Counts are identical when the kernel needs many blocks."""
     reports = _random_packed(np.random.default_rng(7), 1000, 37)
     whole = reports.column_counts()
-    monkeypatch.setattr(packed_mod, "_KERNEL_BLOCK_ELEMENTS", 64)
+    # One report per block: 1000 blocks.
+    _patch_kernel(monkeypatch, lane_bits=40, block_bytes=64)
+    np.testing.assert_array_equal(reports.column_counts(), whole)
+    # Three-report lane rows: two blocks (255 + 78 lane rows) and a
+    # one-report tail.
+    _patch_kernel(monkeypatch, lane_bits=120, block_bytes=255 * 120)
     np.testing.assert_array_equal(reports.column_counts(), whole)
     np.testing.assert_array_equal(
         whole, reports.unpack().sum(axis=0).astype(np.int64)
     )
 
 
+def _edge_kernels(width: int):
+    """(lane bits, block bytes) that put the uint8 limit at the edge rows."""
+    import repro.ldp.packed as packed_mod
+
+    return {
+        "default": (packed_mod._COUNT_LANE_BITS, packed_mod._COUNT_BLOCK_BYTES),
+        # One report per lane row and a budget that only the 255-row
+        # clamp bounds: exactly 255 rows per block.
+        "255-row blocks": (width, 1 << 30),
+        # Two reports per lane row, 255 lane rows (510 reports) per block.
+        "2-report lanes": (2 * width, 1 << 30),
+    }
+
+
+@pytest.mark.parametrize("fill", ["random", "ones"])
+@pytest.mark.parametrize("d", [1, 7, 65, 257, 16385])
+@pytest.mark.parametrize("n", [0, 1, 254, 255, 256, 4096])
+def test_column_counts_overflow_edge(monkeypatch, n, d, fill):
+    """``==`` to unpack-then-sum at the uint8 block limit, padding bits set.
+
+    An all-ones buffer puts 255 ones in every lane of a full block, the
+    most a ``uint8`` partial sum holds; random bytes never get there.
+    """
+    row_bytes = packed_row_bytes(d)
+    if fill == "ones":
+        data = np.full((n, row_bytes), 0xFF, dtype=np.uint8)
+    else:
+        data = np.random.default_rng(n * 7 + d).integers(
+            0, 256, size=(n, row_bytes), dtype=np.uint8
+        )
+        # Set every padding bit of each row's last byte.
+        data[:, -1] |= np.uint8((1 << (row_bytes * 8 - d)) - 1)
+    reports = PackedUnaryReports(data, n_users=n, domain_size=d)
+    expected = reports.unpack().sum(axis=0).astype(np.int64)
+    if fill == "ones":
+        assert (expected == n).all()
+    for lane_bits, block_bytes in _edge_kernels(row_bytes * 8).values():
+        _patch_kernel(monkeypatch, lane_bits, block_bytes)
+        counts = packed_column_counts(data, d)
+        assert counts.dtype == np.int64
+        assert (counts == expected).all()
+
+
 @given(
-    n=st.integers(min_value=0, max_value=60),
-    d=st.integers(min_value=1, max_value=80),
+    n=st.integers(min_value=0, max_value=2000),
+    d=st.integers(min_value=1, max_value=300),
     seed=st.integers(min_value=0, max_value=2**31),
+    ones=st.booleans(),
+    kernel=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(min_value=1, max_value=4096),
+            st.integers(min_value=1, max_value=1 << 16),
+        ),
+    ),
 )
 @settings(max_examples=60, deadline=None)
-def test_column_counts_fuzz(n, d, seed):
+def test_column_counts_fuzz(n, d, seed, ones, kernel):
+    """Random shapes, lane rows and block budgets, so that batches cross
+    block boundaries (at the defaults a 300-column block is 402 reports)."""
+    from unittest import mock
+
+    import repro.ldp.packed as packed_mod
+
     reports = _random_packed(np.random.default_rng(seed), n, d)
-    np.testing.assert_array_equal(
-        reports.column_counts(), reports.unpack().sum(axis=0).astype(np.int64)
+    if ones:
+        reports = PackedUnaryReports(
+            np.full_like(reports.data, 0xFF), n_users=n, domain_size=d
+        )
+    expected = reports.unpack().sum(axis=0).astype(np.int64)
+    lane_bits, block_bytes = kernel or (
+        packed_mod._COUNT_LANE_BITS,
+        packed_mod._COUNT_BLOCK_BYTES,
     )
+    with mock.patch.multiple(
+        packed_mod, _COUNT_LANE_BITS=lane_bits, _COUNT_BLOCK_BYTES=block_bytes
+    ):
+        np.testing.assert_array_equal(reports.column_counts(), expected)
 
 
 # --------------------------------------------------------------------------- #

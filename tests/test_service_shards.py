@@ -1,10 +1,10 @@
 """Shard merge algebra: any partition of a report batch ingests to the same
 counts as the whole, for every registered oracle.
 
-A shard folds counts one way only: ``ingest(reports)`` is
-``ingest_counts(oracle.support_counts(reports))``, in process and behind
-a gateway alike.  :class:`TestOneFold` pins that fold against the
-oracle's own accumulator for every report form.
+A shard folds counts one way only: ``ingest(reports)`` adds
+``oracle.support_counts(reports)``, in process and behind a gateway
+alike.  :class:`TestOneFold` pins that fold against the oracle's own
+accumulator for every report form.
 """
 
 from __future__ import annotations
@@ -126,29 +126,20 @@ def _reference_fold(oracle, batches, domain: int) -> np.ndarray:
 
 
 class TestOneFold:
-    """``ingest`` ≡ ``ingest_counts(support_counts)`` ≡ the oracle's fold."""
+    """``ingest`` ≡ the oracle's own fold."""
 
     SIZES = (90, 1, 250, 64, 0, 133)
 
     def _assert_fold(self, oracle, batches, domain, *, defense=None):
-        decoded = LevelShard(oracle, domain, defense=defense)
-        counted = LevelShard(oracle, domain, defense=defense)
+        shard = LevelShard(oracle, domain, defense=defense)
         for reports in batches:
-            assert decoded.ingest(reports) == oracle.n_reports(reports)
-            counted.ingest_counts(
-                oracle.support_counts(reports, domain), oracle.n_reports(reports)
-            )
+            assert shard.ingest(reports) == oracle.n_reports(reports)
         reference = _reference_fold(oracle, batches, domain)
-        for shard in (decoded, counted):
-            assert shard.counts.dtype == np.int64
-            assert shard.counts.tobytes() == reference.tobytes()
-            assert shard.n_users == sum(oracle.n_reports(r) for r in batches)
-            assert shard.n_batches == len(batches)
-        assert (
-            decoded.effective_counts().tobytes()
-            == counted.effective_counts().tobytes()
-        )
-        return decoded
+        assert shard.counts.dtype == np.int64
+        assert shard.counts.tobytes() == reference.tobytes()
+        assert shard.n_users == sum(oracle.n_reports(r) for r in batches)
+        assert shard.n_batches == len(batches)
+        return shard
 
     @pytest.mark.parametrize("oracle_name,form", list(_report_forms()))
     def test_every_report_form(self, oracle_name, form):
@@ -194,13 +185,28 @@ class TestOneFold:
         assert first.counts.tolist() == flat
         assert shard.n_users == r_block + 130
 
-    def test_wrong_shape_counts_are_refused(self):
+    @pytest.mark.parametrize("defended", [False, True])
+    def test_mismatched_packed_batch_is_refused(self, defended):
+        oracle = make_oracle("oue", 2.0)
+        policy = RobustMergePolicy(kind="trimmed", fraction=0.25, min_sources=4)
+        shard = LevelShard(oracle, DOMAIN, defense=policy if defended else None)
+        wider = oracle.perturb_packed(np.arange(5), DOMAIN + 8, rng=1)
+        with pytest.raises(ValueError, match="domain size"):
+            shard.ingest(wider)
+        self._assert_untouched(shard)
+
+    def test_out_of_domain_krr_batch_is_refused(self):
         shard = LevelShard(make_oracle("krr", 2.0), DOMAIN)
         with pytest.raises(ShardError, match="shape"):
-            shard.ingest_counts(np.zeros(DOMAIN + 1, dtype=np.int64), 3)
-        with pytest.raises(ShardError, match="non-negative"):
-            shard.ingest_counts(np.zeros(DOMAIN, dtype=np.int64), -1)
+            shard.ingest(np.array([0, DOMAIN]))
+        self._assert_untouched(shard)
+
+    @staticmethod
+    def _assert_untouched(shard):
         assert shard.n_batches == 0
+        assert shard.n_users == 0
+        assert not shard.counts.any()
+        assert not shard._sources
 
 
 class TestCompatibilityChecks:
