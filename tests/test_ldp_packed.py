@@ -80,14 +80,14 @@ def _edge_kernels(width: int):
     """(lane bits, block bytes) that put the uint8 limit at the edge rows."""
     import repro.ldp.packed as packed_mod
 
-    return {
-        "default": (packed_mod._COUNT_LANE_BITS, packed_mod._COUNT_BLOCK_BYTES),
+    return [
+        (packed_mod._COUNT_LANE_BITS, packed_mod._COUNT_BLOCK_BYTES),
         # One report per lane row and a budget that only the 255-row
         # clamp bounds: exactly 255 rows per block.
-        "255-row blocks": (width, 1 << 30),
+        (width, 1 << 30),
         # Two reports per lane row, 255 lane rows (510 reports) per block.
-        "2-report lanes": (2 * width, 1 << 30),
-    }
+        (2 * width, 1 << 30),
+    ]
 
 
 @pytest.mark.parametrize("fill", ["random", "ones"])
@@ -112,7 +112,7 @@ def test_column_counts_overflow_edge(monkeypatch, n, d, fill):
     expected = reports.unpack().sum(axis=0).astype(np.int64)
     if fill == "ones":
         assert (expected == n).all()
-    for lane_bits, block_bytes in _edge_kernels(row_bytes * 8).values():
+    for lane_bits, block_bytes in _edge_kernels(row_bytes * 8):
         _patch_kernel(monkeypatch, lane_bits, block_bytes)
         counts = packed_column_counts(data, d)
         assert counts.dtype == np.int64
