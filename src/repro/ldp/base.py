@@ -93,8 +93,8 @@ class FrequencyOracle(abc.ABC):
         """Produce one sanitised report per user.
 
         ``values`` are candidate indices in ``[0, domain_size)``.  The report
-        representation is oracle-specific (indices for k-RR, bit matrix for
-        OUE, (seed, hashed report) pairs for OLH).
+        representation is oracle-specific (indices for k-RR, packed bit
+        vectors for OUE/SUE, (seed, hashed report) pairs for OLH).
         """
 
     @abc.abstractmethod
@@ -107,11 +107,11 @@ class FrequencyOracle(abc.ABC):
     def n_reports(self, reports: object) -> int:
         """Number of user reports contained in a report batch.
 
-        Array-shaped reports (k-RR indices, OUE/SUE bit matrices) count
-        their leading axis; oracles with structured reports (OLH's
-        ``(seeds, buckets)`` pair) override.  Report containers that
-        carry an ``n_users`` attribute (packed unary batches) answer from
-        it directly, without materialising anything.
+        Array-shaped reports (k-RR indices) count their leading axis;
+        oracles with structured reports (OLH's ``(seeds, buckets)`` pair)
+        override.  Report containers that carry an ``n_users`` attribute
+        (packed unary batches) answer from it directly, without
+        materialising anything.
         """
         n_users = getattr(reports, "n_users", None)
         if n_users is not None:
@@ -143,22 +143,6 @@ class FrequencyOracle(abc.ABC):
                 f"accumulator has shape {counts.shape}, expected ({domain_size},)"
             )
         return counts + self.support_counts(reports, domain_size)
-
-    def accumulate_packed(
-        self, counts: np.ndarray, packed, domain_size: int
-    ) -> np.ndarray:
-        """Add a packed-bit unary batch's support counts into an accumulator.
-
-        The packed twin of :meth:`accumulate`: ``packed`` is a
-        :class:`~repro.ldp.packed.PackedUnaryReports` aliasing the wire
-        payload.  The base implementation is the bit-identical fallback —
-        unpack to the dense matrix, then :meth:`accumulate` — so any
-        oracle whose report representation is the ``(n, d)`` bit matrix
-        works unchanged; the unary oracles override it with the packed
-        kernel, which unpacks and sums bounded blocks and never
-        materialises the matrix (:func:`repro.ldp.packed.packed_column_counts`).
-        """
-        return self.accumulate(counts, packed.unpack(), domain_size)
 
     def merge_counts(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Combine two support-count accumulators over the same domain.

@@ -7,7 +7,7 @@ estimation variance among unary encodings but each report costs ``d`` bits
 of communication, which is exactly the cost trade-off Table 1 and Table 4 of
 the paper quantify.
 
-Report mechanics (sparse sampling, dense/packed forms, packed-domain
+Report mechanics (sparse sampling into packed reports, packed-domain
 accumulation) are shared with SUE via
 :class:`~repro.ldp.unary.UnaryEncodingOracle`.
 """

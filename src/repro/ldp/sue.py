@@ -8,7 +8,7 @@ so it is not used by the paper's experiments; it is included as an extension
 to (a) demonstrate the FO interface is genuinely pluggable and (b) serve as
 a worked example for adding new oracles.
 
-Report mechanics (sparse sampling, dense/packed forms, packed-domain
+Report mechanics (sparse sampling into packed reports, packed-domain
 accumulation) are shared with OUE via
 :class:`~repro.ldp.unary.UnaryEncodingOracle`.
 """

@@ -3,7 +3,7 @@
 Both unary oracles one-hot encode the user's value into a length-``d``
 bit vector and flip bits independently; they differ only in the keep/flip
 probabilities ``(p, q)``.  Everything mechanical about unary reports —
-sparse perturbation, dense and packed report forms, the packed-domain
+sparse perturbation into the packed report form and the packed-domain
 accumulation kernel — lives here so the concrete oracles stay what they
 are on paper: a pair of probabilities.
 """
@@ -20,55 +20,35 @@ from repro.utils.rng import RandomState
 class UnaryEncodingOracle(FrequencyOracle):
     """Base class for unary (bit-vector) frequency oracles.
 
-    Reports exist in two interchangeable forms with identical bits:
-
-    * the dense ``(n_users, domain_size)`` boolean matrix (the historical
-      representation, used by the in-memory simulation path), and
-    * :class:`~repro.ldp.packed.PackedUnaryReports`, the packbits wire
-      form the online service keeps end to end.
-
-    Both :meth:`perturb` and :meth:`perturb_packed` consume the generator
-    identically, so the two forms are bit-identical for a fixed seed.
+    A report batch has one form, in memory and on the wire alike:
+    :class:`~repro.ldp.packed.PackedUnaryReports`, ``ceil(d/8)`` packed
+    bytes per user.  A caller holding an ``(n, d)`` boolean matrix packs
+    it with :meth:`PackedUnaryReports.from_matrix`; one that wants the
+    matrix calls :meth:`PackedUnaryReports.unpack`.
     """
 
     def perturb(
         self, values: np.ndarray, domain_size: int, rng: RandomState = None
-    ) -> np.ndarray:
-        """Return an ``(n_users, domain_size)`` boolean report matrix."""
-        p, q = self.support_probabilities(domain_size)
-        return sample_unary_reports(values, domain_size, rng, p, q, packed=False)
-
-    def perturb_packed(
-        self, values: np.ndarray, domain_size: int, rng: RandomState = None
     ) -> PackedUnaryReports:
-        """Perturb straight into packed wire form — the ``(n, d)`` matrix
-        is never materialised.  Bit-identical to ``packbits(perturb(...))``
-        for the same seed."""
+        """Return one packed perturbed bit vector per user."""
         p, q = self.support_probabilities(domain_size)
-        return sample_unary_reports(values, domain_size, rng, p, q, packed=True)
+        return sample_unary_reports(values, domain_size, rng, p, q)
 
     def support_counts(self, reports, domain_size: int) -> np.ndarray:
-        if isinstance(reports, PackedUnaryReports):
-            if reports.domain_size != int(domain_size):
-                raise ValueError(
-                    f"packed reports cover domain size {reports.domain_size}, "
-                    f"expected {domain_size}"
-                )
-            return reports.column_counts()
-        reports = np.asarray(reports, dtype=bool)
-        if reports.ndim != 2 or reports.shape[1] != domain_size:
+        if not isinstance(reports, PackedUnaryReports):
             raise ValueError(
-                f"expected an (n, {domain_size}) report matrix, got shape {reports.shape}"
+                f"{self.name} reports must be PackedUnaryReports, got "
+                f"{type(reports).__name__}"
             )
-        return reports.sum(axis=0).astype(np.int64)
+        if reports.domain_size != int(domain_size):
+            raise ValueError(
+                f"packed reports cover domain size {reports.domain_size}, "
+                f"expected {domain_size}"
+            )
+        return reports.column_counts()
 
-    def accumulate_packed(
-        self, counts: np.ndarray, packed: PackedUnaryReports, domain_size: int
-    ) -> np.ndarray:
-        """Packed-domain accumulation: column counts straight off the bytes."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (int(domain_size),):
-            raise ValueError(
-                f"accumulator has shape {counts.shape}, expected ({domain_size},)"
-            )
-        return counts + self.support_counts(packed, domain_size)
+    # Aliases that exist only so the traced benchmark's wraps of these two
+    # names (perfbench/spans.py) still resolve; they go with ROADMAP item 6,
+    # which drops those wraps.
+    perturb_packed = perturb
+    accumulate_packed = FrequencyOracle.accumulate

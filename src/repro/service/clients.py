@@ -55,16 +55,13 @@ def iter_perturbed_batches(
     if values.size and (values.min() < 0 or values.max() >= domain_size):
         raise ValueError("values must be candidate indices within the domain")
     value_domain = oracle.report_value_domain(domain_size)
-    # Unary oracles can perturb straight into the packed wire form: the
-    # packed batch IS the wire payload, and client memory stays bounded by
-    # the wire size (large batches never materialise the dense matrix;
-    # small ones may use a bounded transient scratch inside the sampler).
-    # perturb_packed consumes the generator exactly like perturb, so the
-    # streamed bits stay identical to the in-memory batched path.
-    perturb = getattr(oracle, "perturb_packed", None) or oracle.perturb
+    # A unary oracle's perturb returns the packed wire form itself, so
+    # client memory stays bounded by the wire size (large batches never
+    # materialise the bit matrix; small ones use a bounded transient
+    # scratch inside the sampler).
     for start in range(0, int(values.size), batch_size):
         chunk = values[start : start + batch_size]
-        reports = perturb(chunk, domain_size, gen)
+        reports = oracle.perturb(chunk, domain_size, gen)
         yield ReportBatch(
             party=party,
             level=int(level),

@@ -188,25 +188,18 @@ def _decode_index_reports(data, batch_meta: "ReportBatch") -> np.ndarray:
 
 def _encode_unary_reports(batch: ReportBatch) -> bytes:
     reports = batch.reports
-    if isinstance(reports, PackedUnaryReports):
-        # Already in wire form: the payload is the packed buffer itself.
-        if (reports.n_users, reports.domain_size) != (
-            batch.n_users,
-            batch.domain_size,
-        ):
-            raise WireFormatError(
-                f"packed unary batch covers ({reports.n_users}, "
-                f"{reports.domain_size}), expected "
-                f"({batch.n_users}, {batch.domain_size})"
-            )
-        return reports.tobytes()
-    matrix = np.asarray(reports, dtype=bool)
-    if matrix.ndim != 2 or matrix.shape != (batch.n_users, batch.domain_size):
+    if not isinstance(reports, PackedUnaryReports):
         raise WireFormatError(
-            f"unary batch has shape {matrix.shape}, expected "
+            f"unary batch must be PackedUnaryReports, got {type(reports).__name__}"
+        )
+    if (reports.n_users, reports.domain_size) != (batch.n_users, batch.domain_size):
+        raise WireFormatError(
+            f"packed unary batch covers ({reports.n_users}, "
+            f"{reports.domain_size}), expected "
             f"({batch.n_users}, {batch.domain_size})"
         )
-    return np.packbits(matrix, axis=1).tobytes()
+    # Already in wire form: the payload is the packed buffer itself.
+    return reports.tobytes()
 
 
 def _decode_unary_reports(data, batch_meta: "ReportBatch") -> PackedUnaryReports:
@@ -217,7 +210,7 @@ def _decode_unary_reports(data, batch_meta: "ReportBatch") -> PackedUnaryReports
             f"unary payload is {len(data)} bytes, expected {expected}"
         )
     # Zero-copy: the reports alias the payload bytes; the (n, d) matrix is
-    # only ever materialised by an explicit ``.unpack()`` fallback.
+    # only ever materialised by an explicit ``.unpack()``.
     return PackedUnaryReports.from_buffer(
         data, n_users=batch_meta.n_users, domain_size=batch_meta.domain_size
     )

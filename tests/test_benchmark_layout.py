@@ -5,18 +5,25 @@ bench`` target has a benchmark and a committed rendering, every committed
 rendering has a benchmark that writes it, and nothing else lives under
 ``benchmarks/results/``.  ``perfbench/`` is the only speed measurement:
 the CI smoke job runs every workload that ``BENCHMARK.json`` declares and
-checks the correctness verdict on its result line.
+checks the correctness verdict on its result line, and every program name
+its traced run wraps (``perfbench/spans.py``) still resolves.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from repro.cli.bench import TARGETS
+from repro.ldp import make_oracle
+from repro.ldp.unary import UnaryEncodingOracle
 
 ROOT = Path(__file__).parent.parent
 BENCH_DIR = ROOT / "benchmarks"
@@ -62,3 +69,36 @@ def test_ci_smoke_runs_every_declared_workload(workload):
     # Exit 1 is a correctness mismatch; the last line carries the verdict.
     assert "pipefail" in run
     assert "r['correct'] is True" in run and "r['failed'] == 0" in run
+
+
+def _load_spans():
+    """``perfbench/spans.py``, imported by path (``perfbench`` is no package)."""
+    name = "perfbench_spans"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its class's module up in sys.modules.
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def test_traced_run_instruments_the_program():
+    """``instrument`` wraps every name it lists (``Recorder.wrap`` raises on
+    a missing one), a wrapped OUE perturb is counted, and ``restore`` puts
+    the program back."""
+    spans = _load_spans()
+    original = inspect.getattr_static(UnaryEncodingOracle, "perturb")
+    rec = spans.Recorder()
+    try:
+        spans.instrument(rec)
+        oracle = make_oracle("oue", 4.0)
+        reports = oracle.perturb(np.arange(5), 9, rng=0)
+        oracle.support_counts(reports, 9)
+    finally:
+        rec.restore()
+    assert rec.counts["ldp.reports"] == 5
+    assert {"ldp.perturb", "ldp.decode"} <= set(rec.self_seconds())
+    assert inspect.getattr_static(UnaryEncodingOracle, "perturb") is original

@@ -29,14 +29,14 @@ class TestPerturb:
     def test_report_shape(self):
         oracle = OptimizedUnaryEncoding(epsilon=1.0)
         values = np.array([0, 1, 2, 3])
-        reports = oracle.perturb(values, 5, rng=0)
+        reports = oracle.perturb(values, 5, rng=0).unpack()
         assert reports.shape == (4, 5)
         assert reports.dtype == bool
 
     def test_true_bit_kept_about_half_the_time(self):
         oracle = OptimizedUnaryEncoding(epsilon=4.0)
         values = np.full(4000, 2)
-        reports = oracle.perturb(values, 8, rng=1)
+        reports = oracle.perturb(values, 8, rng=1).unpack()
         keep_rate = reports[:, 2].mean()
         assert 0.45 < keep_rate < 0.55
 
@@ -44,7 +44,7 @@ class TestPerturb:
         eps = 2.0
         oracle = OptimizedUnaryEncoding(epsilon=eps)
         values = np.full(4000, 0)
-        reports = oracle.perturb(values, 6, rng=2)
+        reports = oracle.perturb(values, 6, rng=2).unpack()
         q = 1.0 / (np.exp(eps) + 1.0)
         flip_rate = reports[:, 1:].mean()
         assert abs(flip_rate - q) < 0.02
@@ -90,5 +90,5 @@ class TestCosts:
 
     def test_bad_report_matrix_shape_raises(self):
         oracle = OptimizedUnaryEncoding(epsilon=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="PackedUnaryReports"):
             oracle.support_counts(np.zeros((3, 4), dtype=bool), 5)

@@ -4,14 +4,18 @@ The columnar hot path rests on two bit-identity contracts
 (:mod:`repro.ldp.packed`):
 
 * ``packed_column_counts`` equals unpack-then-``sum`` for every buffer,
-* ``sample_unary_reports(packed=True)`` equals ``numpy.packbits`` of the
-  dense sample for every seed — on both scatter strategies (boolean
-  scratch for small batches, run-length packed scatter for large ones).
+* ``sample_unary_reports`` equals ``numpy.packbits`` of a plain ``(n, d)``
+  boolean scatter of the same draws (:func:`_dense_reference`) for every
+  seed — on both scatter strategies (byte-aligned boolean scratch for
+  small batches, run-length packed scatter for large ones).
 
 These tests hammer the awkward shapes (domains narrower than a byte, not
 byte-aligned, single users, empty batches) and the codec's rejection of
 malformed packed payloads.
 """
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +29,6 @@ from repro.ldp.packed import (
     _PACK_SCRATCH_MAX_BITS,
     packed_column_counts,
     packed_row_bytes,
-    sample_unary_reports,
 )
 from repro.service.protocol import (
     ReportBatch,
@@ -136,8 +139,6 @@ def test_column_counts_overflow_edge(monkeypatch, n, d, fill):
 def test_column_counts_fuzz(n, d, seed, ones, kernel):
     """Random shapes, lane rows and block budgets, so that batches cross
     block boundaries (at the defaults a 300-column block is 402 reports)."""
-    from unittest import mock
-
     import repro.ldp.packed as packed_mod
 
     reports = _random_packed(np.random.default_rng(seed), n, d)
@@ -157,31 +158,45 @@ def test_column_counts_fuzz(n, d, seed, ones, kernel):
 
 
 # --------------------------------------------------------------------------- #
-# Sampler parity: dense ≡ packed, on both scatter strategies
+# Sampler parity: both scatter paths ≡ packbits of the dense reference
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("d", [1, 7, 8, 9, 65])
-@pytest.mark.parametrize("n", [0, 1, 129])
-@pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
-def test_sample_parity_dense_vs_packed(oracle_name, n, d):
-    oracle = make_oracle(oracle_name, epsilon=1.5)
-    values = np.random.default_rng(n + d).integers(0, d, size=n)
-    dense = oracle.perturb(values, d, rng=42)
-    packed = oracle.perturb_packed(values, d, rng=42)
-    assert isinstance(packed, PackedUnaryReports)
-    np.testing.assert_array_equal(packed.unpack(), dense)
+def _dense_reference(values, d, seed, p, q):
+    """The retired dense sampler: the same draws scattered into ``(n, d)``."""
+    gen = np.random.default_rng(seed)
+    n = len(values)
+    positions = _bernoulli_positions(gen, n * d, q)
+    keep_true = gen.random(n) < p
+    reports = np.zeros((n, d), dtype=bool)
+    reports.ravel()[positions] = True
+    reports[np.arange(n), values] = keep_true
+    return reports
 
 
-def test_sample_parity_on_sparse_scatter_path(monkeypatch):
-    """Force the run-length packed scatter (large-batch path) and re-check."""
+def _assert_sample_matches_reference(oracle, values, d, seed, run_length):
+    """``oracle.perturb`` holds exactly ``packbits`` of the dense reference,
+    on the scratch path or, with ``run_length``, the run-length path."""
     import repro.ldp.packed as packed_mod
 
-    values = np.random.default_rng(0).integers(0, 65, size=400)
-    dense = sample_unary_reports(values, 65, np.random.default_rng(9), 0.6, 0.05)
-    monkeypatch.setattr(packed_mod, "_PACK_SCRATCH_MAX_BITS", 0)
-    packed = sample_unary_reports(
-        values, 65, np.random.default_rng(9), 0.6, 0.05, packed=True
-    )
-    np.testing.assert_array_equal(np.packbits(dense, axis=1), packed.data)
+    limit = 0 if run_length else packed_mod._PACK_SCRATCH_MAX_BITS
+    if not run_length:
+        assert len(values) * 8 * packed_row_bytes(d) <= limit
+    with mock.patch.object(packed_mod, "_PACK_SCRATCH_MAX_BITS", limit):
+        packed = oracle.perturb(values, d, rng=seed)
+    p, q = oracle.support_probabilities(d)
+    expected = np.packbits(_dense_reference(values, d, seed, p, q), axis=1)
+    assert isinstance(packed, PackedUnaryReports)
+    assert packed.data.shape == expected.shape
+    assert (packed.data == expected).all()
+
+
+@pytest.mark.parametrize("run_length", [False, True], ids=["scratch", "run_length"])
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 64, 65])
+@pytest.mark.parametrize("n", [0, 1, 129])
+@pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
+def test_sample_matches_dense_reference(oracle_name, n, d, run_length):
+    oracle = make_oracle(oracle_name, epsilon=1.5)
+    values = np.random.default_rng(n + d).integers(0, d, size=n)
+    _assert_sample_matches_reference(oracle, values, d, 42, run_length)
 
 
 def test_default_threshold_covers_both_paths():
@@ -195,37 +210,38 @@ def test_default_threshold_covers_both_paths():
     d=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**31),
     epsilon=st.floats(min_value=0.2, max_value=6.0, allow_nan=False),
+    oracle_name=st.sampled_from(UNARY_ORACLES),
+    run_length=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_sample_parity_fuzz(n, d, seed, epsilon):
-    oracle = make_oracle("oue", epsilon=epsilon)
+def test_sample_matches_dense_reference_fuzz(
+    n, d, seed, epsilon, oracle_name, run_length
+):
+    oracle = make_oracle(oracle_name, epsilon=epsilon)
     values = np.random.default_rng(seed).integers(0, d, size=n)
-    dense = oracle.perturb(values, d, rng=seed)
-    packed = oracle.perturb_packed(values, d, rng=seed)
-    np.testing.assert_array_equal(packed.unpack(), dense)
+    _assert_sample_matches_reference(oracle, values, d, seed, run_length)
 
 
 # --------------------------------------------------------------------------- #
-# accumulate_packed ≡ the dense fallback, for every unary oracle
+# Accumulation and refusals
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
-def test_accumulate_packed_matches_dense_accumulate(oracle_name):
+def test_accumulate_adds_unpacked_column_sums(oracle_name):
     oracle = make_oracle(oracle_name, epsilon=2.0)
     d = 21
     counts = np.arange(d, dtype=np.int64)
     reports = _random_packed(np.random.default_rng(3), 50, d)
-    via_packed = oracle.accumulate_packed(counts, reports, d)
-    via_dense = oracle.accumulate(counts, reports.unpack(), d)
-    np.testing.assert_array_equal(via_packed, via_dense)
+    accumulated = oracle.accumulate(counts, reports, d)
+    np.testing.assert_array_equal(accumulated, counts + reports.unpack().sum(axis=0))
     # The accumulator argument itself is never mutated.
     np.testing.assert_array_equal(counts, np.arange(d, dtype=np.int64))
 
 
-def test_accumulate_packed_rejects_bad_accumulator_shape():
+def test_accumulate_rejects_bad_accumulator_shape():
     oracle = make_oracle("oue", epsilon=2.0)
     reports = _random_packed(np.random.default_rng(0), 4, 9)
     with pytest.raises(ValueError, match="accumulator"):
-        oracle.accumulate_packed(np.zeros(8, dtype=np.int64), reports, 9)
+        oracle.accumulate(np.zeros(8, dtype=np.int64), reports, 9)
 
 
 def test_support_counts_rejects_domain_mismatch():
@@ -233,6 +249,14 @@ def test_support_counts_rejects_domain_mismatch():
     reports = _random_packed(np.random.default_rng(0), 4, 9)
     with pytest.raises(ValueError, match="domain size"):
         oracle.support_counts(reports, 17)
+
+
+@pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
+def test_support_counts_refuses_dense_matrix(oracle_name):
+    oracle = make_oracle(oracle_name, epsilon=2.0)
+    matrix = _random_packed(np.random.default_rng(0), 4, 9).unpack()
+    with pytest.raises(ValueError, match="PackedUnaryReports"):
+        oracle.support_counts(matrix, 9)
 
 
 # --------------------------------------------------------------------------- #
@@ -276,7 +300,7 @@ def _unary_batch(n=12, d=10):
         domain_size=d,
         value_domain=2,
         n_users=n,
-        reports=oracle.perturb_packed(values, d, rng=5),
+        reports=oracle.perturb(values, d, rng=5),
     )
 
 
@@ -285,6 +309,13 @@ def test_codec_round_trips_packed_batches():
     decoded = decode_report_batch(encode_report_batch(batch))
     assert isinstance(decoded.reports, PackedUnaryReports)
     assert decoded.reports == batch.reports
+
+
+def test_codec_refuses_dense_unary_batch():
+    batch = _unary_batch()
+    dense = dataclasses.replace(batch, reports=np.asarray(batch.reports, dtype=bool))
+    with pytest.raises(WireFormatError, match="PackedUnaryReports"):
+        encode_report_batch(dense)
 
 
 def test_codec_rejects_truncated_packed_payload():

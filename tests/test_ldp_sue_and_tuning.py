@@ -49,7 +49,7 @@ class TestSymmetricUnaryEncoding:
         assert SymmetricUnaryEncoding(1.0).report_bits(77) == 77
 
     def test_bad_report_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="PackedUnaryReports"):
             SymmetricUnaryEncoding(1.0).support_counts(np.zeros((2, 3), dtype=bool), 4)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import coordinator
+from repro.ldp.packed import PackedUnaryReports
 from repro.ldp.registry import available_oracles, make_oracle
 from repro.net import client
 from repro.net import gateway as gateway_module
@@ -93,7 +94,8 @@ class TestPayloadSizes:
     def test_unary_packs_to_ceil_d_over_8_bytes_per_user(self):
         batch = _one_batch("oue", n=50, domain_size=37)
         empty = ReportBatch(**{**batch.__dict__, "n_users": 0,
-                               "reports": np.zeros((0, 37), dtype=bool)})
+                               "reports": PackedUnaryReports.from_matrix(
+                                   np.zeros((0, 37), dtype=bool))})
         payload_bytes = len(encode_report_batch(batch)) - len(
             encode_report_batch(empty)
         )

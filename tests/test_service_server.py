@@ -322,7 +322,7 @@ class TestMemoryModel:
         for batch in pool.iter_report_batches(oracle, domain, bits, rng=1):
             reports = batch.reports
             parts = reports if isinstance(reports, tuple) else (reports,)
-            # A dense unary bit matrix, the widest form, is batch × domain.
+            # Every report form fits in batch × (domain + 16) bytes.
             assert sum(part.nbytes for part in parts) <= min(
                 batch_size, n_users
             ) * (domain.size + 16)

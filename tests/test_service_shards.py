@@ -34,6 +34,12 @@ def _slice_reports(reports, start: int, stop: int):
     """Slice a report batch along the user axis, whatever its shape."""
     if isinstance(reports, tuple):  # OLH: (seeds, buckets)
         return tuple(part[start:stop] for part in reports)
+    if isinstance(reports, PackedUnaryReports):
+        return PackedUnaryReports(
+            reports.data[start:stop],
+            n_users=stop - start,
+            domain_size=reports.domain_size,
+        )
     return reports[start:stop]
 
 
@@ -96,21 +102,20 @@ class TestMergeAlgebra:
 
 
 def _report_forms():
-    """(oracle name, report form) pairs: every oracle, both unary forms."""
+    """(oracle name, report form) pairs: every oracle, in its one form."""
     for name in available_oracles():
         if isinstance(make_oracle(name, 1.0), UnaryEncodingOracle):
-            yield name, "dense"
             yield name, "packed"
         else:
             yield name, "native"
 
 
-def _batches(oracle, form: str, domain: int, sizes, seed: int = 5):
+def _batches(oracle, domain: int, sizes, seed: int = 5):
     """Independently perturbed report batches of the given sizes."""
     rng = np.random.default_rng(seed)
-    perturb = oracle.perturb_packed if form == "packed" else oracle.perturb
     return [
-        perturb(rng.integers(0, domain, size=size), domain, rng) for size in sizes
+        oracle.perturb(rng.integers(0, domain, size=size), domain, rng)
+        for size in sizes
     ]
 
 
@@ -118,10 +123,7 @@ def _reference_fold(oracle, batches, domain: int) -> np.ndarray:
     """The oracle's own accumulator, batch by batch."""
     counts = np.zeros(domain, dtype=np.int64)
     for reports in batches:
-        if isinstance(reports, PackedUnaryReports):
-            counts = oracle.accumulate_packed(counts, reports, domain)
-        else:
-            counts = oracle.accumulate(counts, reports, domain)
+        counts = oracle.accumulate(counts, reports, domain)
     return counts
 
 
@@ -144,13 +146,13 @@ class TestOneFold:
     @pytest.mark.parametrize("oracle_name,form", list(_report_forms()))
     def test_every_report_form(self, oracle_name, form):
         oracle = make_oracle(oracle_name, epsilon=2.5)
-        batches = _batches(oracle, form, DOMAIN, self.SIZES)
+        batches = _batches(oracle, DOMAIN, self.SIZES)
         self._assert_fold(oracle, batches, DOMAIN)
 
     @pytest.mark.parametrize("oracle_name,form", list(_report_forms()))
     def test_defended_effective_counts(self, oracle_name, form):
         oracle = make_oracle(oracle_name, epsilon=2.5)
-        batches = _batches(oracle, form, DOMAIN, self.SIZES)
+        batches = _batches(oracle, DOMAIN, self.SIZES)
         policy = RobustMergePolicy(kind="trimmed", fraction=0.25, min_sources=4)
         shard = self._assert_fold(oracle, batches, DOMAIN, defense=policy)
         expected = policy.apply(
@@ -169,7 +171,7 @@ class TestOneFold:
         r_block = olh_module._DECODE_REPORT_BLOCK
         c_chunk = max(1, olh_module._DECODE_BLOCK_ELEMENTS // r_block)
         domain = 3 * c_chunk + 2
-        batches = _batches(oracle, "native", domain, (r_block + 123, 7))
+        batches = _batches(oracle, domain, (r_block + 123, 7))
         shard = self._assert_fold(oracle, batches, domain)
         seeds, ys = batches[0]
         flat = [
@@ -190,7 +192,7 @@ class TestOneFold:
         oracle = make_oracle("oue", 2.0)
         policy = RobustMergePolicy(kind="trimmed", fraction=0.25, min_sources=4)
         shard = LevelShard(oracle, DOMAIN, defense=policy if defended else None)
-        wider = oracle.perturb_packed(np.arange(5), DOMAIN + 8, rng=1)
+        wider = oracle.perturb(np.arange(5), DOMAIN + 8, rng=1)
         with pytest.raises(ValueError, match="domain size"):
             shard.ingest(wider)
         self._assert_untouched(shard)
