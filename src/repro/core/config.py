@@ -105,11 +105,12 @@ class MechanismConfig:
         single-gateway run.
     report_batch_size:
         Upper bound on the number of reports perturbed/ingested at a time.
-        ``None`` keeps the in-memory path one-shot and lets service runs
-        use :data:`DEFAULT_REPORT_BATCH_SIZE`.  Purely a memory knob (the
-        report buffer becomes ``O(batch × domain)``); it changes how the
-        RNG stream is split across draws, so runs with different batch
-        sizes are identically distributed but not bit-identical.
+        ``None`` perturbs an in-memory round as one batch and lets
+        service runs use :data:`DEFAULT_REPORT_BATCH_SIZE`.  Purely a
+        memory knob (the report buffer becomes ``O(batch × domain)``); it
+        changes how the RNG stream is split across draws, so runs with
+        different batch sizes are identically distributed but not
+        bit-identical.
     defense:
         Robust shard-merge policy name (``"trimmed"`` or ``"norm_bound"``,
         see :mod:`repro.faults.defense`) applied by the aggregation
@@ -250,8 +251,8 @@ class MechanismConfig:
     def effective_report_batch_size(self) -> Optional[int]:
         """Report batch bound: the explicit value, or the service default.
 
-        ``None`` (in memory mode without an explicit bound) keeps the
-        historical one-shot perturbation path.
+        ``None`` (in memory mode without an explicit bound) perturbs a
+        round's reports as one batch.
         """
         if self.report_batch_size is not None:
             return self.report_batch_size

@@ -68,7 +68,7 @@ class RoundRunner(abc.ABC):
 
 @dataclass
 class DirectRoundRunner(RoundRunner):
-    """The in-memory path: a one-shot (or batched) ``oracle.run`` call."""
+    """The in-memory path: one ``oracle.run`` call per round."""
 
     batch_size: int | None = None
 

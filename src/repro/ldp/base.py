@@ -131,9 +131,9 @@ class FrequencyOracle(abc.ABC):
     ) -> np.ndarray:
         """Add a report batch's support counts into an accumulator.
 
-        The batched in-memory path (:meth:`run` with ``batch_size``):
-        folding a stream batch by batch never materialises more than one
-        batch of reports, and the accumulator stays ``O(domain_size)``.
+        :meth:`run` folds every batch through it: a stream folded batch by
+        batch never materialises more than one batch of reports, and the
+        accumulator stays ``O(domain_size)``.
         A service shard adds the same :meth:`support_counts` vector
         (:meth:`repro.service.shards.LevelShard.ingest`).
         """
@@ -249,10 +249,11 @@ class FrequencyOracle(abc.ABC):
             In ``"per_user"`` mode, perturb and accumulate at most this many
             reports at a time, bounding the report buffer at
             ``O(batch_size × domain_size)`` instead of
-            ``O(n_users × domain_size)``.  Batching changes how the RNG
-            stream is split across draws (the estimates stay identically
-            distributed); for a fixed seed, results are bit-identical to the
-            online aggregation service streaming the same batch size.
+            ``O(n_users × domain_size)``; ``None`` makes every report one
+            batch.  Batching changes how the RNG stream is split across
+            draws (the estimates stay identically distributed); for a fixed
+            seed, results are bit-identical to the online aggregation
+            service streaming the same batch size.
         """
         check_positive("domain_size", domain_size)
         if batch_size is not None:
@@ -266,16 +267,11 @@ class FrequencyOracle(abc.ABC):
             true_counts = np.bincount(values, minlength=domain_size)
             supports = self.sample_support_counts(true_counts, gen)
         elif mode == "per_user":
-            if batch_size is None or batch_size >= n:
-                reports = self.perturb(values, domain_size, gen)
-                supports = self.support_counts(reports, domain_size)
-            else:
-                supports = np.zeros(domain_size, dtype=np.int64)
-                for start in range(0, n, batch_size):
-                    chunk = self.perturb(
-                        values[start : start + batch_size], domain_size, gen
-                    )
-                    supports = self.accumulate(supports, chunk, domain_size)
+            step = batch_size or max(n, 1)
+            supports = np.zeros(domain_size, dtype=np.int64)
+            for start in range(0, n, step):
+                chunk = self.perturb(values[start : start + step], domain_size, gen)
+                supports = self.accumulate(supports, chunk, domain_size)
         else:  # pragma: no cover - guarded by Literal typing in practice
             raise ValueError(f"unknown simulation mode {mode!r}")
         est_counts = self.estimate_counts(supports, n, domain_size)

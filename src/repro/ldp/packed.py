@@ -20,14 +20,15 @@ sizes).  This module keeps reports **in the packed domain end to end**:
 * :func:`sample_unary_reports` — the shared perturbation sampler of the
   unary oracles.  Flipped bits are drawn sparsely (geometric gaps over
   the flattened ``n × d`` Bernoulli grid — the textbook inverse-CDF
-  skip-sampling, exact in distribution) and scattered into packed bytes,
-  so a unary report batch has one form, in memory and on the wire.
+  skip-sampling, exact in distribution), scattered into a byte-aligned
+  boolean scratch one bounded chunk of rows at a time, and packed, so a
+  unary report batch has one form, in memory and on the wire.
 
 Correctness contract, pinned by ``tests/test_ldp_packed.py``: for every
 packed buffer, ``packed_column_counts`` equals unpack-then-``sum`` bit for
-bit, and for every seed both scatter paths of ``sample_unary_reports``
-hold exactly ``numpy.packbits`` of a plain ``(n, d)`` boolean scatter of
-the same draws.
+bit, and for every seed and chunk size ``sample_unary_reports`` holds
+exactly ``numpy.packbits`` of a plain ``(n, d)`` boolean scatter of the
+same draws.
 """
 
 from __future__ import annotations
@@ -46,30 +47,28 @@ _COUNT_BLOCK_BYTES = 120 << 10
 #: reports are grouped until a row of the block is about this long.
 _COUNT_LANE_BITS = 1 << 11
 
-#: Largest byte-aligned ``n * 8 * ceil(d/8)`` (in bits) for which the
-#: sampler scatters through a transient boolean scratch before packing:
-#: at small batch shapes the fixed per-op cost of run-length packing
-#: dominates, and a scratch + one ``np.packbits`` is cheaper.  Above this
-#: the sampler scatters straight into packed bytes so client memory stays
-#: bounded by the wire size (``n × ceil(d/8)``), never the bit matrix.
+#: Scratch budget of :func:`sample_unary_reports`, in bits (one byte
+#: each): a chunk holds as many whole ``8 * ceil(d/8)``-bit rows as fit,
+#: and at least one.  The sampler never materialises more of the bit
+#: matrix than one chunk.
 _PACK_SCRATCH_MAX_BITS = 1 << 21
 
-#: Cached ``arange(n) * row_bytes`` vectors keyed by ``(n, row_bytes)``:
-#: the per-user byte-row offsets of the packed scatter.  Batch shapes
-#: repeat for a whole stream, so the cache hits on every batch but the
-#: ragged last one.  Bounded: stale shapes are evicted once it fills.
+#: Cached ``arange(n) * width`` vectors keyed by ``(n, width)``: the
+#: per-user row offsets of the sampler's scratch.  Batch and chunk shapes
+#: repeat for a whole stream, so the cache hits on every chunk but the
+#: ragged last ones.  Bounded: stale shapes are evicted once it fills.
 _ROW_OFFSET_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _ROW_OFFSET_CACHE_MAX = 8
 
 
-def _row_offsets(n: int, row_bytes: int) -> np.ndarray:
-    offsets = _ROW_OFFSET_CACHE.get((n, row_bytes))
+def _row_offsets(n: int, width: int) -> np.ndarray:
+    offsets = _ROW_OFFSET_CACHE.get((n, width))
     if offsets is None:
         if len(_ROW_OFFSET_CACHE) >= _ROW_OFFSET_CACHE_MAX:
             _ROW_OFFSET_CACHE.clear()
-        offsets = np.arange(n, dtype=np.int64) * row_bytes
+        offsets = np.arange(n, dtype=np.int64) * width
         offsets.flags.writeable = False
-        _ROW_OFFSET_CACHE[(n, row_bytes)] = offsets
+        _ROW_OFFSET_CACHE[(n, width)] = offsets
     return offsets
 
 
@@ -178,12 +177,6 @@ class PackedUnaryReports:
 
     def __len__(self) -> int:
         return self.n_users
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # Compatibility escape hatch: ``np.asarray(reports)`` anywhere in
-        # legacy code transparently yields the dense matrix.
-        matrix = self.unpack()
-        return matrix if dtype is None else matrix.astype(dtype)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedUnaryReports):
@@ -332,54 +325,51 @@ def sample_unary_reports(
 
     Every bit starts as ``Bernoulli(q)`` (drawn sparsely, see
     :func:`_bernoulli_positions`); each user's true-value bit is then
-    overwritten with ``Bernoulli(p)``.  The generator is consumed the same
-    way on both scatter paths — flip positions first, then the ``n`` keep
-    draws — so the bits depend on the seed alone, never on the path.
+    overwritten with ``Bernoulli(p)``.  The generator is consumed up front
+    — all flip positions, then the ``n`` keep draws — and only the scatter
+    is chunked, so the bits depend on the seed alone, never on the chunk
+    size.
+
+    The scatter writes each chunk of whole rows into a boolean scratch of
+    at most ``_PACK_SCRATCH_MAX_BITS`` bytes, one per bit, whose rows are
+    ``8 * ceil(d/8)`` bits wide: each row's zero padding then packs into
+    its last byte, and one flat ``np.packbits`` per chunk costs a fraction
+    of a row-wise one (8,599 × 7 on a 2-core VM, NumPy 2.4: about 7 µs
+    against 290 µs).
+
+    Raises ``ValueError`` when a value lies outside ``[0, domain_size)``:
+    its keep bit would land in another user's row.
     """
     gen = as_generator(rng)
     values = np.asarray(values, dtype=np.int64)
     n = int(values.size)
     d = int(domain_size)
+    if n and (values.min() < 0 or values.max() >= d):
+        raise ValueError("values must be candidate indices within the domain")
     positions = _bernoulli_positions(gen, n * d, q)
     keep_true = gen.random(n) < p
 
     row_bytes = packed_row_bytes(d)
     width = 8 * row_bytes
-    if 0 < n * width <= _PACK_SCRATCH_MAX_BITS:
-        # Small batches: scatter into a transient byte-aligned boolean
-        # scratch (dies on return, ≤ 2 MiB) and pack it flat, once — fewer
-        # vector ops than the run-length path.  Rows are ``width`` bits
-        # wide, so each row's zero padding packs into its last byte, and
-        # the flat ``np.packbits`` costs a fraction of a row-wise one
-        # (8,599 × 7 on a 2-core VM, NumPy 2.4: about 7 µs against 290 µs).
-        scratch = np.zeros(n * width, dtype=bool)
-        if positions.size:
-            if width != d:
-                positions = positions + (positions // d) * (width - d)
-            scratch[positions] = True
-        scratch[_row_offsets(n, width) + values] = keep_true
-        data = np.packbits(scratch).reshape(n, row_bytes)
-        return PackedUnaryReports(data, n_users=n, domain_size=d)
-    data = np.zeros(n * row_bytes, dtype=np.uint8)
-    if positions.size:
-        rows, cols = np.divmod(positions, d)
-        flat = rows * row_bytes + (cols >> 3)
-        masks = (128 >> (cols & 7)).astype(np.uint8)
-        # Positions are sorted, so flips landing in the same byte are
-        # contiguous in ``flat``: one bitwise-or reduceat over each run
-        # builds every touched byte, and the scatter only writes those.
-        run_starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.flatnonzero(np.diff(flat)) + 1)
-        )
-        data[flat[run_starts]] = np.bitwise_or.reduceat(masks, run_starts)
-    if n:
-        # Overwrite each user's true-value bit with their keep draw (set or
-        # *clear* — a background flip at that bit must not survive a
-        # keep_true=False, exactly as the scratch path's overwrite does).
-        flat_true = _row_offsets(n, row_bytes) + (values >> 3)
-        masks = (128 >> (values & 7)).astype(np.uint8)
-        current = data[flat_true]
-        data[flat_true] = np.where(keep_true, current | masks, current & ~masks)
-    return PackedUnaryReports(
-        data.reshape(n, row_bytes), n_users=n, domain_size=d
-    )
+    if positions.size and width != d:
+        # Shift each flip into its row of the byte-aligned layout.
+        positions = positions + (positions // d) * (width - d)
+    rows = max(1, _PACK_SCRATCH_MAX_BITS // width)
+    packed = []
+    lo = 0
+    # One empty chunk when n == 0, so the batch packs to zero bytes.
+    for r0 in range(0, max(n, 1), rows):
+        r1 = min(n, r0 + rows)
+        hi = positions.size
+        if r1 < n:
+            hi = lo + int(np.searchsorted(positions[lo:], r1 * width))
+        chunk = positions[lo:hi]
+        if r0:
+            chunk -= r0 * width  # in place: ``positions`` is this call's own
+        scratch = np.zeros((r1 - r0) * width, dtype=bool)
+        scratch[chunk] = True
+        scratch[_row_offsets(r1 - r0, width) + values[r0:r1]] = keep_true[r0:r1]
+        packed.append(np.packbits(scratch))
+        lo = hi
+    data = packed[0] if len(packed) == 1 else np.concatenate(packed)
+    return PackedUnaryReports(data.reshape(n, row_bytes), n_users=n, domain_size=d)

@@ -39,7 +39,6 @@ from repro.service.protocol import (
     decode_report_batch,
     encode_broadcast,
     encode_report_batch,
-    register_report_codec,
     wire_bits,
 )
 from repro.service.server import (
@@ -75,7 +74,6 @@ __all__ = [
     "encode_broadcast",
     "encode_report_batch",
     "iter_perturbed_batches",
-    "register_report_codec",
     "run_in_service_mode",
     "serve_dataset",
     "wire_bits",

@@ -55,10 +55,9 @@ def iter_perturbed_batches(
     if values.size and (values.min() < 0 or values.max() >= domain_size):
         raise ValueError("values must be candidate indices within the domain")
     value_domain = oracle.report_value_domain(domain_size)
-    # A unary oracle's perturb returns the packed wire form itself, so
-    # client memory stays bounded by the wire size (large batches never
-    # materialise the bit matrix; small ones use a bounded transient
-    # scratch inside the sampler).
+    # A unary oracle's perturb returns the packed wire form itself,
+    # scattered through one bounded scratch chunk at a time, so the client
+    # never materialises the bit matrix.
     for start in range(0, int(values.size), batch_size):
         chunk = values[start : start + batch_size]
         reports = oracle.perturb(chunk, domain_size, gen)

@@ -245,21 +245,14 @@ def _decode_olh_reports(
     return seeds, buckets
 
 
-#: oracle name → (payload encoder, payload decoder).  New oracles register
-#: here (see :func:`register_report_codec`); unary encodings share a codec.
+#: oracle name → (payload encoder, payload decoder); unary encodings share
+#: a codec.
 REPORT_CODECS: dict[str, tuple[Callable, Callable]] = {
     "krr": (_encode_index_reports, _decode_index_reports),
     "oue": (_encode_unary_reports, _decode_unary_reports),
     "sue": (_encode_unary_reports, _decode_unary_reports),
     "olh": (_encode_olh_reports, _decode_olh_reports),
 }
-
-
-def register_report_codec(
-    oracle_name: str, encoder: Callable, decoder: Callable
-) -> None:
-    """Register the wire codec of a new frequency oracle's reports."""
-    REPORT_CODECS[oracle_name.lower()] = (encoder, decoder)
 
 
 def _codec(oracle_name: str) -> tuple[Callable, Callable]:

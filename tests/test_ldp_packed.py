@@ -6,8 +6,7 @@ The columnar hot path rests on two bit-identity contracts
 * ``packed_column_counts`` equals unpack-then-``sum`` for every buffer,
 * ``sample_unary_reports`` equals ``numpy.packbits`` of a plain ``(n, d)``
   boolean scatter of the same draws (:func:`_dense_reference`) for every
-  seed — on both scatter strategies (byte-aligned boolean scratch for
-  small batches, run-length packed scatter for large ones).
+  seed — whether the batch fits one scratch chunk or spans several.
 
 These tests hammer the awkward shapes (domains narrower than a byte, not
 byte-aligned, single users, empty batches) and the codec's rejection of
@@ -26,7 +25,6 @@ from repro.ldp import make_oracle
 from repro.ldp.packed import (
     PackedUnaryReports,
     _bernoulli_positions,
-    _PACK_SCRATCH_MAX_BITS,
     packed_column_counts,
     packed_row_bytes,
 )
@@ -158,7 +156,7 @@ def test_column_counts_fuzz(n, d, seed, ones, kernel):
 
 
 # --------------------------------------------------------------------------- #
-# Sampler parity: both scatter paths ≡ packbits of the dense reference
+# Sampler parity: one chunk or many ≡ packbits of the dense reference
 # --------------------------------------------------------------------------- #
 def _dense_reference(values, d, seed, p, q):
     """The retired dense sampler: the same draws scattered into ``(n, d)``."""
@@ -172,15 +170,14 @@ def _dense_reference(values, d, seed, p, q):
     return reports
 
 
-def _assert_sample_matches_reference(oracle, values, d, seed, run_length):
+def _assert_sample_matches_reference(oracle, values, d, seed, budget=None):
     """``oracle.perturb`` holds exactly ``packbits`` of the dense reference,
-    on the scratch path or, with ``run_length``, the run-length path."""
+    with the sampler's chunk budget patched to ``budget`` bits if given."""
     import repro.ldp.packed as packed_mod
 
-    limit = 0 if run_length else packed_mod._PACK_SCRATCH_MAX_BITS
-    if not run_length:
-        assert len(values) * 8 * packed_row_bytes(d) <= limit
-    with mock.patch.object(packed_mod, "_PACK_SCRATCH_MAX_BITS", limit):
+    if budget is None:
+        budget = packed_mod._PACK_SCRATCH_MAX_BITS
+    with mock.patch.object(packed_mod, "_PACK_SCRATCH_MAX_BITS", budget):
         packed = oracle.perturb(values, d, rng=seed)
     p, q = oracle.support_probabilities(d)
     expected = np.packbits(_dense_reference(values, d, seed, p, q), axis=1)
@@ -189,20 +186,47 @@ def _assert_sample_matches_reference(oracle, values, d, seed, run_length):
     assert (packed.data == expected).all()
 
 
-@pytest.mark.parametrize("run_length", [False, True], ids=["scratch", "run_length"])
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 64, 65])
 @pytest.mark.parametrize("n", [0, 1, 129])
 @pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
-def test_sample_matches_dense_reference(oracle_name, n, d, run_length):
+def test_sample_matches_dense_reference(oracle_name, n, d):
     oracle = make_oracle(oracle_name, epsilon=1.5)
     values = np.random.default_rng(n + d).integers(0, d, size=n)
-    _assert_sample_matches_reference(oracle, values, d, 42, run_length)
+    _assert_sample_matches_reference(oracle, values, d, 42)
 
 
-def test_default_threshold_covers_both_paths():
-    # The shipped threshold actually splits real batch shapes across the
-    # two scatter strategies (the whole point of having two).
-    assert 2048 * 65 <= _PACK_SCRATCH_MAX_BITS < 65536 * 65
+@pytest.mark.parametrize("slack", [0, 5], ids=["exact", "ragged_budget"])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 65])
+@pytest.mark.parametrize("n", [2, 7, 130])
+@pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
+def test_sample_matches_dense_reference_across_chunks(oracle_name, n, d, rows, slack):
+    """A budget of ``rows`` whole rows (plus ``slack`` bits, less than a
+    row) splits the batch into ``ceil(n / rows)`` chunks; n = 7 and 130
+    leave a ragged last chunk for 2 and 3 rows."""
+    oracle = make_oracle(oracle_name, epsilon=1.5)
+    values = np.random.default_rng(n * d + rows).integers(0, d, size=n)
+    width = 8 * packed_row_bytes(d)
+    _assert_sample_matches_reference(oracle, values, d, n + rows, rows * width + slack)
+
+
+def test_sample_matches_dense_reference_at_default_budget():
+    """A batch past the shipped 2 Mibit budget spans two chunks (the
+    first of 29,127 rows, the second of 873) at a high flip rate."""
+    oracle = make_oracle("sue", epsilon=1.0)
+    d = 65
+    values = np.random.default_rng(9).integers(0, d, size=30_000)
+    _assert_sample_matches_reference(oracle, values, d, 9)
+
+
+@pytest.mark.parametrize("oracle_name", UNARY_ORACLES)
+@pytest.mark.parametrize("values", [[8, 3], [3, 8], [-1, 3]])
+def test_perturb_refuses_values_outside_domain(oracle_name, values):
+    # An out-of-range keep bit would land in the next user's row (or
+    # past the buffer); ε=30 keeps it with near certainty.
+    oracle = make_oracle(oracle_name, epsilon=30.0)
+    with pytest.raises(ValueError, match="within the domain"):
+        oracle.perturb(np.array(values), 8, rng=1)
 
 
 @given(
@@ -211,15 +235,15 @@ def test_default_threshold_covers_both_paths():
     seed=st.integers(min_value=0, max_value=2**31),
     epsilon=st.floats(min_value=0.2, max_value=6.0, allow_nan=False),
     oracle_name=st.sampled_from(UNARY_ORACLES),
-    run_length=st.booleans(),
+    budget=st.one_of(st.none(), st.integers(min_value=1, max_value=2000)),
 )
 @settings(max_examples=60, deadline=None)
 def test_sample_matches_dense_reference_fuzz(
-    n, d, seed, epsilon, oracle_name, run_length
+    n, d, seed, epsilon, oracle_name, budget
 ):
     oracle = make_oracle(oracle_name, epsilon=epsilon)
     values = np.random.default_rng(seed).integers(0, d, size=n)
-    _assert_sample_matches_reference(oracle, values, d, seed, run_length)
+    _assert_sample_matches_reference(oracle, values, d, seed, budget)
 
 
 # --------------------------------------------------------------------------- #
@@ -279,13 +303,6 @@ def test_from_buffer_rejects_size_mismatch():
         PackedUnaryReports.from_buffer(b"\x00" * 5, n_users=2, domain_size=13)
 
 
-def test_asarray_escape_hatch_yields_dense_matrix():
-    reports = _random_packed(np.random.default_rng(2), 3, 11)
-    dense = np.asarray(reports)
-    assert dense.shape == (3, 11)
-    np.testing.assert_array_equal(dense, reports.unpack())
-
-
 # --------------------------------------------------------------------------- #
 # Wire codec: malformed packed payloads are structured errors
 # --------------------------------------------------------------------------- #
@@ -313,7 +330,7 @@ def test_codec_round_trips_packed_batches():
 
 def test_codec_refuses_dense_unary_batch():
     batch = _unary_batch()
-    dense = dataclasses.replace(batch, reports=np.asarray(batch.reports, dtype=bool))
+    dense = dataclasses.replace(batch, reports=batch.reports.unpack())
     with pytest.raises(WireFormatError, match="PackedUnaryReports"):
         encode_report_batch(dense)
 
