@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.base import FederatedDataset
-from repro.engine import get_backend
 from repro.ldp.registry import make_oracle
 from repro.utils.validation import check_positive
 
@@ -116,27 +115,13 @@ class DirectUploadCostModel:
         return model.costs(5_000_000, 2_000_000)
 
 
-def _oracle_costs(task: tuple[str, FederatedDataset, float]) -> DirectUploadCosts:
-    """Engine task: analytic direct-upload costs for one oracle."""
-    oracle, dataset, epsilon = task
-    return DirectUploadCostModel(oracle, epsilon).costs_for_dataset(dataset)
-
-
 def infeasibility_summary(
-    dataset: FederatedDataset, epsilon: float, *, backend: str | None = None
+    dataset: FederatedDataset, epsilon: float
 ) -> dict[str, DirectUploadCosts]:
-    """Costs of direct OUE and OLH upload for ``dataset`` (Table 4's last columns).
-
-    The per-oracle computations are independent engine tasks on ``backend``
-    (serial by default, which is also the sensible choice: the analytic
-    path is microseconds of arithmetic — the knob exists for API symmetry
-    with the other baselines, not for speed).
-    """
+    """Costs of direct OUE and OLH upload for ``dataset`` (Table 4's last columns)."""
     if not math.isfinite(epsilon) or epsilon <= 0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    oracles = ("oue", "olh")
-    with get_backend(backend) as engine:
-        costs = engine.map_tasks(
-            _oracle_costs, [(oracle, dataset, epsilon) for oracle in oracles]
-        )
-    return dict(zip(oracles, costs))
+    return {
+        oracle: DirectUploadCostModel(oracle, epsilon).costs_for_dataset(dataset)
+        for oracle in ("oue", "olh")
+    }

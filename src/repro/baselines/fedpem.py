@@ -9,7 +9,7 @@ hitters — which is the failure mode the paper's TAP/TAPS address.
 
 from __future__ import annotations
 
-from repro.core.base import FederatedMechanism, PartyTask, PartyTaskOutcome
+from repro.core.base import FederatedMechanism
 from repro.core.config import ExtensionStrategy, MechanismConfig
 from repro.core.estimation import PartyEstimator
 from repro.core.results import MechanismResult, PartyRunRecord
@@ -35,13 +35,12 @@ class FedPEMMechanism(FederatedMechanism):
         )
         super().__init__(config)
 
-    def _party_task(self, task: PartyTask) -> PartyTaskOutcome:
-        """One party's full PEM run — independent, hence a single engine task."""
-        estimator = task.estimator
+    def _run_party(self, name: str, estimator: PartyEstimator) -> PartyRunRecord:
+        """One party's full, independent PEM run."""
         config = estimator.config
         g = config.granularity
         k = config.k
-        record = PartyRunRecord(party=task.name, n_users=estimator.party.n_users)
+        record = PartyRunRecord(party=name, n_users=estimator.party.n_users)
         previous: list[str] | None = None
         final_estimate = None
         for level in range(1, g + 1):
@@ -61,7 +60,7 @@ class FedPEMMechanism(FederatedMechanism):
             * estimator.party.n_users
             for prefix in top_prefixes
         }
-        return PartyTaskOutcome(record=record, estimator=estimator)
+        return record
 
     def _execute(
         self,
@@ -73,14 +72,14 @@ class FedPEMMechanism(FederatedMechanism):
     ) -> dict[str, PartyRunRecord]:
         for name in estimators:
             transcript.log_broadcast(name, "parameters", 1, level=0)
-        outcomes = self._run_parties(estimators, self._party_task)
         records: dict[str, PartyRunRecord] = {}
-        for name, outcome in outcomes.items():
+        for name, estimator in estimators.items():
+            record = self._run_party(name, estimator)
             self._log_final_report(
-                transcript, name, outcome.record.local_heavy_hitters,
+                transcript, name, record.local_heavy_hitters,
                 level=config.granularity,
             )
-            records[name] = outcome.record
+            records[name] = record
         return records
 
     def run(self, dataset: FederatedDataset, rng=None) -> MechanismResult:

@@ -19,7 +19,7 @@ Two properties of GTF drive its behaviour in the evaluation:
 
 from __future__ import annotations
 
-from repro.core.base import FederatedMechanism, PartyTask, PartyTaskOutcome
+from repro.core.base import FederatedMechanism
 from repro.core.aggregation import aggregate_local_reports
 from repro.core.config import ExtensionStrategy, MechanismConfig
 from repro.core.estimation import PartyEstimator
@@ -45,11 +45,15 @@ class GTFMechanism(FederatedMechanism):
         )
         super().__init__(config)
 
-    def _level_task(self, task: PartyTask) -> PartyTaskOutcome:
-        """One party's estimation round at one level (independent given the
-        globally filtered prefixes, hence one engine task per party per level)."""
-        estimator = task.estimator
-        level, global_selected = task.payload
+    @staticmethod
+    def _run_level(
+        estimator: PartyEstimator, level: int, global_selected: list[str] | None
+    ):
+        """One party's estimation round at one level.
+
+        Extends the server's globally filtered prefixes; returns the level
+        estimate and the party's local top-k prefixes with frequencies.
+        """
         domain = estimator.build_domain(level, global_selected)
         estimate = estimator.estimate_level(level, domain)
         # Each party reports its local top-k prefixes and frequencies.
@@ -58,9 +62,7 @@ class GTFMechanism(FederatedMechanism):
             key=lambda kv: (-kv[1], kv[0]),
         )
         reported = dict(ranked[: estimator.config.k])
-        return PartyTaskOutcome(
-            record=None, estimator=estimator, payload=(estimate, reported)
-        )
+        return estimate, reported
 
     def _execute(
         self,
@@ -82,13 +84,11 @@ class GTFMechanism(FederatedMechanism):
         global_selected: list[str] | None = None
         final_estimates: dict[str, object] = {}
         for level in range(1, g + 1):
-            # The global filter is a synchronisation barrier: parties run the
-            # level in parallel, then the server merges before the next one.
-            payloads = {name: (level, global_selected) for name in estimators}
-            outcomes = self._run_parties(estimators, self._level_task, payloads)
+            # The global filter is a synchronisation barrier: every party
+            # runs the level, then the server merges before the next one.
             level_frequencies: dict[str, dict[str, float]] = {}
-            for name, outcome in outcomes.items():
-                estimate, reported = outcome.payload
+            for name, estimator in estimators.items():
+                estimate, reported = self._run_level(estimator, level, global_selected)
                 records[name].levels.append(estimate)
                 final_estimates[name] = estimate
                 level_frequencies[name] = reported

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.core.config import ExtensionStrategy, MechanismConfig
 from repro.core.estimation import PartyEstimator
 from repro.core.results import LevelEstimate
-from repro.engine import ExecutionBackend, get_backend
 from repro.federation.party import Party
 from repro.ldp.budget import PrivacyAccountant
 from repro.utils.rng import RandomState, as_generator
@@ -86,24 +85,3 @@ class SinglePartyPEM:
             estimated_counts=estimated_counts,
             levels=levels,
         )
-
-    def run_many(
-        self,
-        parties: list[Party],
-        rng: RandomState = None,
-        *,
-        backend: str | ExecutionBackend | None = None,
-        max_workers: int | None = None,
-    ) -> list[PEMResult]:
-        """Run PEM on every party, one engine task each.
-
-        Per-party seeds are fanned out in party order before dispatch, so
-        every backend returns the identical list of results for a fixed
-        ``rng``; results come back in the order of ``parties``.
-        """
-        engine = get_backend(
-            backend if backend is not None else self.config.backend,
-            max_workers if max_workers is not None else self.config.max_workers,
-        )
-        with engine:
-            return engine.map_seeded(self.run, parties, as_generator(rng))

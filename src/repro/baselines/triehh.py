@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.encoding.prefix import level_lengths, prefixes_of_items
-from repro.engine import ExecutionBackend, get_backend
 from repro.federation.party import Party
 from repro.trie.prefix_trie import PrefixTrie
 from repro.utils.rng import RandomState, as_generator
@@ -126,20 +125,3 @@ class TrieHHBaseline:
             trie=trie,
             votes_per_level=votes_per_level,
         )
-
-    def run_many(
-        self,
-        parties: list[Party],
-        rng: RandomState = None,
-        *,
-        backend: str | ExecutionBackend | None = None,
-        max_workers: int | None = None,
-    ) -> list[TrieHHResult]:
-        """Run TrieHH on every party, one engine task each, in party order.
-
-        Seeds are fanned out before dispatch, so results are identical on
-        every backend for a fixed ``rng``.
-        """
-        engine = get_backend(backend, max_workers)
-        with engine:
-            return engine.map_seeded(self.run, parties, as_generator(rng))

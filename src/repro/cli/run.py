@@ -14,7 +14,6 @@ import argparse
 
 from repro.cli.common import (
     CLIError,
-    add_backend_arguments,
     add_dataset_arguments,
     add_smoke_argument,
     emit_json,
@@ -64,7 +63,6 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
     )
     parser.add_argument("--batch-size", type=int, default=None,
                         help="report batch bound (service mode; default: 65536)")
-    add_backend_arguments(parser)
     add_smoke_argument(parser)
     parser.add_argument("-o", "--output", default=None,
                         help="write the JSON result here instead of stdout")
@@ -87,7 +85,6 @@ def cmd(args: argparse.Namespace) -> int:
         n_bits=args.n_bits,
         oracle=args.oracle,
         seed=args.seed,
-        party_backend=args.backend or "serial",
         execution_mode=args.execution_mode,
         report_batch_size=args.batch_size,
     )
@@ -95,10 +92,7 @@ def cmd(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.dataset, scale=scale, seed=args.seed)
     except KeyError as exc:
         raise CLIError(str(exc.args[0]) if exc.args else str(exc)) from exc
-    overrides = {} if args.workers is None else {"max_workers": args.workers}
-    config = make_config(
-        settings, dataset, k=args.top_k, epsilon=args.epsilon, **overrides
-    )
+    config = make_config(settings, dataset, k=args.top_k, epsilon=args.epsilon)
     mechanism = build_mechanism(args.mechanism, config)
     result = mechanism.run(dataset, rng=args.rng)
     payload = {

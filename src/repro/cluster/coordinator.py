@@ -472,9 +472,7 @@ class ClusterCoordinator:
     The slice of the server interface the service round runner and the
     mechanism base class use, executing each round over a
     :class:`ClusterConnection` to ``addresses`` — one gateway or N
-    shards.  The connection opens lazily, so instances pickle into
-    process-backend workers (the socket is dropped and rebuilt there).
-    The wire-bit message log is kept client-side, operation for operation
+    shards.  The connection opens on the first round.  The wire-bit message log is kept client-side, operation for operation
     like the in-memory server's — same kinds, same order, same exact bit
     counts — which is what makes a networked mechanism run
     transcript-identical to service mode.  ``config.gateway`` in network
@@ -489,11 +487,6 @@ class ClusterCoordinator:
         self._messages: list[Message] = []
         self._upload_bits = 0
         self._broadcast_bits = 0
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_connection"] = None  # sockets don't pickle; reconnect lazily
-        return state
 
     def _conn(self) -> ClusterConnection:
         if self._connection is None:

@@ -14,7 +14,7 @@
 
 from repro.core.config import ExtensionStrategy, MechanismConfig
 from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
-from repro.core.base import FederatedMechanism, PartyTask, PartyTaskOutcome
+from repro.core.base import FederatedMechanism
 from repro.core.extension import (
     adaptive_extension_count,
     drift_allowance,
@@ -37,8 +37,6 @@ __all__ = [
     "MechanismResult",
     "PartyRunRecord",
     "FederatedMechanism",
-    "PartyTask",
-    "PartyTaskOutcome",
     "adaptive_extension_count",
     "drift_allowance",
     "select_anchor",

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -14,42 +12,10 @@ from repro.core.config import MechanismConfig
 from repro.core.estimation import PartyEstimator
 from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
 from repro.datasets.base import FederatedDataset
-from repro.engine import ExecutionBackend, SerialBackend
 from repro.federation.transcript import FederationTranscript
 from repro.ldp.budget import PrivacyAccountant
 from repro.service.server import AggregationServer, ServiceRoundRunner
 from repro.utils.rng import RandomState, as_generator, spawn_seeds
-
-
-@dataclass
-class PartyTask:
-    """A self-contained unit of per-party work shipped to an execution backend.
-
-    The task carries everything the party's computation needs — most
-    importantly the :class:`PartyEstimator`, whose generator and accountant
-    are exclusively this party's.  Tasks therefore never contend on shared
-    state, which is what makes thread execution safe and process execution
-    (where the estimator is pickled into the worker) equivalent.
-    """
-
-    name: str
-    estimator: PartyEstimator
-    payload: Any = None
-
-
-@dataclass
-class PartyTaskOutcome:
-    """What a party task sends back to the coordinator.
-
-    ``estimator`` is returned explicitly because a process backend operates
-    on a *copy*: the coordinator adopts the returned estimator (advanced RNG
-    state, task-local privacy records) as the authoritative one.  On the
-    serial and thread backends it is simply the same object.
-    """
-
-    record: PartyRunRecord | None
-    estimator: PartyEstimator
-    payload: Any = None
 
 
 class FederatedMechanism(abc.ABC):
@@ -58,13 +24,11 @@ class FederatedMechanism(abc.ABC):
     Subclasses implement :meth:`_execute`, which receives fully initialised
     per-party estimators plus the shared transcript and returns the final
     per-party records; the base class handles configuration adaptation,
-    RNG fan-out, backend management, server aggregation, privacy accounting
-    and timing.
+    RNG fan-out, server aggregation, privacy accounting and timing.
 
-    Per-party work should be routed through :meth:`_run_parties` (or
-    :meth:`_submit_party` for inherently sequential protocols): both run the
-    task on the backend selected by ``config.backend`` and keep results,
-    accounting and RNG state deterministic regardless of the backend.
+    Parties run one after another, in party order.  Each party's work
+    touches only its own estimator (its generator, accountant and round
+    runner), so the results are a function of the seed alone.
     """
 
     #: Stable identifier used in benchmark output ("taps", "fedpem", ...).
@@ -72,15 +36,6 @@ class FederatedMechanism(abc.ABC):
 
     def __init__(self, config: MechanismConfig):
         self.config = config
-        self._backend: ExecutionBackend | None = None
-
-    def __getstate__(self):
-        # Task functions are bound methods, so process backends pickle the
-        # mechanism itself; the live executor must not travel with it (and
-        # inside a worker the engine degrades to serial anyway).
-        state = self.__dict__.copy()
-        state["_backend"] = None
-        return state
 
     # ------------------------------------------------------------------ #
     # Public entry point
@@ -95,7 +50,7 @@ class FederatedMechanism(abc.ABC):
 
         # Explicit ordered seed contract: one seed per party, drawn in a
         # single batch before anything runs, so party i's randomness is a
-        # function of its position alone — never of backend scheduling.
+        # function of its position alone — never of the order parties run in.
         party_seeds = spawn_seeds(gen, dataset.n_parties)
         service_mode = config.execution_mode in ("service", "network")
         estimators = {
@@ -110,13 +65,7 @@ class FederatedMechanism(abc.ABC):
             for party, seed in zip(dataset.parties, party_seeds)
         }
 
-        backend = config.make_backend()
-        self._backend = backend
-        try:
-            party_records = self._execute(dataset, config, estimators, transcript, gen)
-        finally:
-            self._backend = None
-            backend.shutdown()
+        party_records = self._execute(dataset, config, estimators, transcript, gen)
 
         # Merge per-party privacy accounting in deterministic party order.
         accountant = PrivacyAccountant(epsilon=config.epsilon)
@@ -124,9 +73,7 @@ class FederatedMechanism(abc.ABC):
             accountant.merge(estimators[name].accountant)
 
         # Service mode: fold each party's exact wire accounting into the
-        # transcript, in deterministic party order.  The runners travel with
-        # the estimators, so messages logged inside process-backend workers
-        # come back with the adopted estimator copies.
+        # transcript, in deterministic party order.
         if service_mode:
             for name in estimators:
                 server = estimators[name].round_runner.server
@@ -155,14 +102,14 @@ class FederatedMechanism(abc.ABC):
         """The per-party round runner for the configured execution mode.
 
         ``None`` keeps the estimator's in-memory default; service mode
-        gives every party its own aggregation server so party tasks stay
-        self-contained on any backend.  Network mode swaps the local
-        server for a :class:`~repro.cluster.coordinator.ClusterCoordinator`
+        gives every party its own aggregation server, whose message log
+        :meth:`run` folds into the transcript in party order.  Network
+        mode swaps the local server for a
+        :class:`~repro.cluster.coordinator.ClusterCoordinator`
         speaking to ``config.gateway`` — one gateway, or a comma-separated
         list of shard gateways; a single gateway is a one-shard cluster
         and nothing downstream can tell the shard count (the cluster's
-        bit-identity contract).  One connection per party, opened lazily,
-        so party tasks stay self-contained on any backend there too.
+        bit-identity contract).  One connection per party, opened lazily.
         """
         if config.execution_mode == "network":
             # Local import: the core layer must not require the network
@@ -201,61 +148,6 @@ class FederatedMechanism(abc.ABC):
     ) -> tuple[list[int], dict[int, float]]:
         """Server-side aggregation (population-weighted counting by default)."""
         return aggregate_local_reports(reports, config.k)
-
-    # ------------------------------------------------------------------ #
-    # Backend-aware party execution
-    # ------------------------------------------------------------------ #
-    def _run_parties(
-        self,
-        estimators: dict[str, PartyEstimator],
-        task_fn: Callable[[PartyTask], PartyTaskOutcome],
-        payloads: Mapping[str, Any] | None = None,
-        *,
-        names: list[str] | None = None,
-    ) -> dict[str, PartyTaskOutcome]:
-        """Run one self-contained task per party on the configured backend.
-
-        ``task_fn`` receives a :class:`PartyTask` and must confine its work
-        to that task's estimator.  Outcomes are collected in party order;
-        each returned estimator replaces the caller's entry in
-        ``estimators`` so process-backend copies (advanced RNG, task-local
-        accounting) become authoritative.
-        """
-        names = list(estimators) if names is None else names
-        payloads = payloads or {}
-        tasks = [
-            PartyTask(name=n, estimator=estimators[n], payload=payloads.get(n))
-            for n in names
-        ]
-        results = self._engine().map_tasks(task_fn, tasks)
-        outcomes: dict[str, PartyTaskOutcome] = {}
-        for name, outcome in zip(names, results):
-            estimators[name] = outcome.estimator
-            outcomes[name] = outcome
-        return outcomes
-
-    def _submit_party(
-        self,
-        estimators: dict[str, PartyEstimator],
-        task_fn: Callable[[PartyTask], PartyTaskOutcome],
-        name: str,
-        payload: Any = None,
-    ) -> PartyTaskOutcome:
-        """Run a single party task on the backend and wait for it.
-
-        Used by inherently sequential protocols (TAPS' phase II chains each
-        party on its predecessor's pruning candidates) so that even the
-        serial portions flow through the one engine abstraction.
-        """
-        task = PartyTask(name=name, estimator=estimators[name], payload=payload)
-        future = self._engine().submit(task_fn, task)
-        outcome = ExecutionBackend.gather([future])[0]
-        estimators[name] = outcome.estimator
-        return outcome
-
-    def _engine(self) -> ExecutionBackend:
-        """The backend of the run in progress (serial outside of a run)."""
-        return self._backend if self._backend is not None else SerialBackend()
 
     # ------------------------------------------------------------------ #
     # Shared helpers for subclasses

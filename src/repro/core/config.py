@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
-from repro.engine import available_backends, get_backend
 from repro.ldp.base import FrequencyOracle, SimulationMode
 from repro.ldp.registry import make_oracle
 from repro.utils.validation import check_in_range, check_known_keys, check_positive
@@ -87,12 +86,12 @@ class MechanismConfig:
         (:mod:`repro.service`): clients emit privatized report batches of
         bounded size, the server accumulates them into mergeable shards,
         and the transcript records exact wire bytes instead of analytic
-        estimates.  For a fixed seed on the serial backend both modes
-        produce bit-identical results (given the same
-        ``report_batch_size``).  ``"network"`` goes one step further and
-        serves every round over a live TCP gateway (:mod:`repro.net`)
-        named by :attr:`gateway` — bit-identical to ``"service"`` in turn,
-        because the frames wrap the same canonical bytes.  Both streaming
+        estimates.  For a fixed seed both modes produce bit-identical
+        results (given the same ``report_batch_size``).  ``"network"``
+        goes one step further and serves every round over a live TCP
+        gateway (:mod:`repro.net`) named by :attr:`gateway` —
+        bit-identical to ``"service"`` in turn, because the frames wrap
+        the same canonical bytes.  Both streaming
         modes require ``simulation_mode="per_user"`` — there are no
         individual reports to stream in aggregate mode.
     gateway:
@@ -122,17 +121,6 @@ class MechanismConfig:
     defense_fraction:
         Assumed corrupt fraction of wire batches for the defense (the
         trim share per tail / the clipping headroom).
-    backend / max_workers:
-        Execution backend for the mechanism's independent party tasks
-        (``"serial"``, ``"thread"`` or ``"process"``, see
-        :mod:`repro.engine`).  Purely an execution knob: every backend
-        produces identical results for a fixed seed.  ``max_workers=None``
-        uses the executor's default worker count.  Each ``run()`` owns its
-        pool (created at start, shut down at the end), so party-level
-        ``"process"`` pays pool startup per run — worth it for few, large
-        parties; prefer ``"thread"`` (or cell-level parallelism via
-        :class:`~repro.experiments.runner.ExperimentSettings`) for many
-        small runs.
 
     Examples
     --------
@@ -163,8 +151,6 @@ class MechanismConfig:
     report_batch_size: Optional[int] = None
     defense: Optional[str] = None
     defense_fraction: float = 0.25
-    backend: str = "serial"
-    max_workers: Optional[int] = None
     gateway: Optional[str] = None
     metadata: dict = field(default_factory=dict)
 
@@ -188,8 +174,6 @@ class MechanismConfig:
             check_positive("fixed_extension", self.fixed_extension)
         check_positive("pair_bits", self.pair_bits)
         check_positive("min_validation_users", self.min_validation_users, strict=False)
-        if self.max_workers is not None:
-            check_positive("max_workers", self.max_workers)
         if self.execution_mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution_mode {self.execution_mode!r}; "
@@ -220,11 +204,6 @@ class MechanismConfig:
                 f'a gateway address is only meaningful for execution_mode='
                 f'"network" (got execution_mode={self.execution_mode!r}); '
                 "the in-process modes never touch a socket"
-            )
-        if self.backend.lower() not in available_backends():
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {sorted(available_backends())}"
             )
 
     # ------------------------------------------------------------------ #
@@ -275,10 +254,6 @@ class MechanismConfig:
         from repro.faults.defense import RobustMergePolicy
 
         return RobustMergePolicy(kind=self.defense, fraction=self.defense_fraction)
-
-    def make_backend(self):
-        """Instantiate the configured execution backend (see :mod:`repro.engine`)."""
-        return get_backend(self.backend, self.max_workers)
 
     # ------------------------------------------------------------------ #
     # Convenience

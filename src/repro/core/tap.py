@@ -10,10 +10,10 @@ returns the federated top-k.
 
 from __future__ import annotations
 
-from repro.core.base import FederatedMechanism, PartyTask, PartyTaskOutcome
+from repro.core.base import FederatedMechanism
 from repro.core.config import MechanismConfig
 from repro.core.estimation import PartyEstimator
-from repro.core.results import MechanismResult, PartyRunRecord
+from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
 from repro.core.shared_trie import construct_shared_trie
 from repro.datasets.base import FederatedDataset
 from repro.federation.transcript import FederationTranscript
@@ -31,19 +31,20 @@ class TAPMechanism(FederatedMechanism):
             config = config.with_updates(**overrides)
         super().__init__(config)
 
-    def _phase2_task(self, task: PartyTask) -> PartyTaskOutcome:
-        """One party's complete, independent phase II (Algorithm 3, 7-11).
-
-        Self-contained: touches only the task's estimator, so the engine may
-        run parties concurrently or in another process.
-        """
-        estimator = task.estimator
+    def _phase2(
+        self,
+        name: str,
+        estimator: PartyEstimator,
+        shared_levels: list[LevelEstimate],
+        previous: list[str],
+    ) -> PartyRunRecord:
+        """One party's complete, independent phase II (Algorithm 3, 7-11),
+        warm-started from its phase-I levels and selected prefixes."""
         config = estimator.config
         g = config.granularity
         g_s = config.effective_shared_level
-        shared_levels, previous = task.payload
 
-        record = PartyRunRecord(party=task.name, n_users=estimator.party.n_users)
+        record = PartyRunRecord(party=name, n_users=estimator.party.n_users)
         record.levels.extend(shared_levels)
         final_estimate = None
         for level in range(g_s + 1, g + 1):
@@ -58,7 +59,7 @@ class TAPMechanism(FederatedMechanism):
         record.local_heavy_hitters = self._local_heavy_hitters(
             final_estimate, estimator, config.k
         )
-        return PartyTaskOutcome(record=record, estimator=estimator)
+        return record
 
     def _execute(
         self,
@@ -74,19 +75,17 @@ class TAPMechanism(FederatedMechanism):
         shared = construct_shared_trie(estimators, transcript)
 
         # ----- Phase II: independent estimation with a warm start (7-11),
-        # one backend task per party.  Transcript logging stays with the
-        # coordinator so the message order is backend-independent. -----
-        payloads = {
-            name: (shared.per_party_levels[name], shared.per_party_selected[name])
-            for name in estimators
-        }
-        outcomes = self._run_parties(estimators, self._phase2_task, payloads)
+        # one party after another. -----
         records: dict[str, PartyRunRecord] = {}
-        for name, outcome in outcomes.items():
-            self._log_final_report(
-                transcript, name, outcome.record.local_heavy_hitters, level=g
+        for name, estimator in estimators.items():
+            record = self._phase2(
+                name,
+                estimator,
+                shared.per_party_levels[name],
+                shared.per_party_selected[name],
             )
-            records[name] = outcome.record
+            self._log_final_report(transcript, name, record.local_heavy_hitters, level=g)
+            records[name] = record
         return records
 
     def run(self, dataset: FederatedDataset, rng=None) -> MechanismResult:

@@ -15,7 +15,7 @@ which is where TAPS's accuracy advantage over TAP comes from (Figure 7).
 
 from __future__ import annotations
 
-from repro.core.base import FederatedMechanism, PartyTask, PartyTaskOutcome
+from repro.core.base import FederatedMechanism
 from repro.core.config import MechanismConfig
 from repro.core.estimation import PartyEstimator
 from repro.core.pruning import (
@@ -24,7 +24,7 @@ from repro.core.pruning import (
     population_confidence,
     select_pruning_candidates,
 )
-from repro.core.results import MechanismResult, PartyRunRecord
+from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
 from repro.core.shared_trie import construct_shared_trie
 from repro.datasets.base import FederatedDataset
 from repro.federation.grouping import split_off_fraction
@@ -55,28 +55,29 @@ class TAPSMechanism(FederatedMechanism):
     # ------------------------------------------------------------------ #
     # Protocol
     # ------------------------------------------------------------------ #
-    def _phase2_task(self, task: PartyTask) -> PartyTaskOutcome:
+    def _phase2(
+        self,
+        name: str,
+        estimator: PartyEstimator,
+        shared_levels: list[LevelEstimate],
+        previous_selected: list[str],
+        previous_pruning: dict[int, PruningCandidates] | None,
+        gamma: float,
+        is_last: bool,
+    ) -> tuple[PartyRunRecord, dict[int, PruningCandidates]]:
         """One party's phase II: validate/prune, estimate, select candidates.
 
-        TAPS parties chain on their predecessor's pruning candidates, so the
-        coordinator submits these tasks one at a time; the task itself is
-        still self-contained (it only touches its own estimator) and flows
-        through the same engine abstraction as the parallel mechanisms.
+        Prunes with its predecessor's candidates (``None`` for the first
+        party), trusted with confidence ``gamma``.  Returns the party's
+        record and the pruning candidates it passes on to its successor
+        (none from the last party).
         """
-        estimator = task.estimator
         config = estimator.config
         g = config.granularity
         g_s = config.effective_shared_level
         k = config.k
-        (
-            shared_levels,
-            previous_selected,
-            previous_pruning,
-            gamma,
-            is_last,
-        ) = task.payload
 
-        record = PartyRunRecord(party=task.name, n_users=estimator.party.n_users)
+        record = PartyRunRecord(party=name, n_users=estimator.party.n_users)
         record.levels.extend(shared_levels)
         current_pruning: dict[int, PruningCandidates] = {}
         final_estimate = None
@@ -117,9 +118,7 @@ class TAPSMechanism(FederatedMechanism):
         record.local_heavy_hitters = self._local_heavy_hitters(
             final_estimate, estimator, k
         )
-        return PartyTaskOutcome(
-            record=record, estimator=estimator, payload=current_pruning
-        )
+        return record, current_pruning
 
     def _execute(
         self,
@@ -144,16 +143,15 @@ class TAPSMechanism(FederatedMechanism):
         for index, party in enumerate(ordered_parties):
             name = party.name
             is_last = index == len(ordered_parties) - 1
-            payload = (
+            record, current_pruning = self._phase2(
+                name,
+                estimators[name],
                 shared.per_party_levels[name],
                 shared.per_party_selected[name],
-                previous_pruning if index > 0 else None,
+                previous_pruning,
                 population_confidence(previous_population, total_population),
                 is_last,
             )
-            outcome = self._submit_party(estimators, self._phase2_task, name, payload)
-            record = outcome.record
-            current_pruning: dict[int, PruningCandidates] = outcome.payload
             self._log_final_report(transcript, name, record.local_heavy_hitters, level=g)
 
             # Ship the pruning dictionary D_i through the server to the next party.

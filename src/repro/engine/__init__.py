@@ -1,10 +1,10 @@
-"""Pluggable execution engine: parallel parties and parallel sweep cells.
+"""Pluggable execution engine: parallel sweep cells and loadgen pools.
 
-The paper's protocols are embarrassingly parallel along two axes — across
-*parties* in phase II of TAP (and in every round of FedPEM/GTF/PEM), and
-across *sweep cells* in every figure/table reproduction.  This subsystem
-puts both behind one abstraction so callers pick an execution strategy
-without touching protocol code.
+Every figure/table reproduction is a grid of mutually independent *sweep
+cells*, and a load generator drives independent *connection pools*.  This
+subsystem puts both behind one abstraction so callers pick an execution
+strategy without touching protocol code.  A mechanism's own parties run
+one after another in party order (TAPS chains them by design).
 
 Backends
 --------
@@ -31,16 +31,10 @@ regardless of worker count or scheduling — the property
 
 Where the knobs live
 --------------------
-* :class:`repro.core.config.MechanismConfig` — ``backend`` / ``max_workers``
-  select how a mechanism runs its *parties*.
 * :class:`repro.experiments.runner.ExperimentSettings` — ``backend`` /
-  ``max_workers`` select how a sweep runs its *cells*, and
-  ``party_backend`` is forwarded into each cell's ``MechanismConfig``.
-
-Nested parallelism (cells × parties) is governed in
-:func:`get_backend`: a ``"process"`` request made inside an engine worker
-process resolves to serial, so ``backend="process"`` at both layers never
-forks from a fork.
+  ``max_workers`` select how a sweep runs its *cells*.
+* :func:`repro.net.loadgen.run_loadgen` — ``backend`` / ``max_workers``
+  select how the load generator runs its connection pools.
 """
 
 from repro.engine.backends import (
@@ -51,7 +45,6 @@ from repro.engine.backends import (
     ThreadBackend,
     available_backends,
     get_backend,
-    in_worker_process,
 )
 from repro.utils.rng import spawn_seeds as fan_out_seeds
 
@@ -64,5 +57,4 @@ __all__ = [
     "available_backends",
     "fan_out_seeds",
     "get_backend",
-    "in_worker_process",
 ]

@@ -16,18 +16,11 @@ seed per task from a parent generator — in a single ordered batch, *before*
 anything is dispatched (see :func:`repro.utils.rng.spawn_seeds`) — and
 passes it to the task function.  Randomness is thereby a function of the
 task index alone, never of scheduling.
-
-Nested parallelism is governed centrally: a :class:`ProcessBackend` marks
-its workers (``REPRO_ENGINE_WORKER``), and :func:`get_backend` resolves a
-``"process"`` request made *inside* such a worker to a
-:class:`SerialBackend`.  A sweep running cells in processes can therefore
-leave ``MechanismConfig.backend = "process"`` set without forking storms.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from concurrent.futures import (
     FIRST_EXCEPTION,
     Future,
@@ -38,20 +31,6 @@ from concurrent.futures import (
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.utils.rng import RandomState, as_generator, spawn_seeds
-
-#: Environment flag set in ProcessBackend workers to suppress nested forking.
-_WORKER_ENV = "REPRO_ENGINE_WORKER"
-
-
-def in_worker_process() -> bool:
-    """True when the current process is an engine-managed worker."""
-    return os.environ.get(_WORKER_ENV) == "1"
-
-
-def _mark_worker() -> None:
-    """Process-pool initializer: tag the worker so nested forks degrade."""
-    os.environ[_WORKER_ENV] = "1"
-
 
 class ExecutionBackend(abc.ABC):
     """Runs independent tasks and returns their results in task order."""
@@ -165,8 +144,8 @@ class _PoolBackend(ExecutionBackend):
 class ThreadBackend(_PoolBackend):
     """Thread-pool backend: cheap dispatch, shares memory with the caller.
 
-    Tasks must confine their mutations to task-local objects (the engine's
-    party/cell tasks do); NumPy releases the GIL in its hot loops, so the
+    Tasks must confine their mutations to task-local objects (sweep cells
+    and loadgen pools do); NumPy releases the GIL in its hot loops, so the
     oracle rounds overlap even under CPython.
     """
 
@@ -182,17 +161,13 @@ class ProcessBackend(_PoolBackend):
     """Process-pool backend: true parallelism, tasks and results are pickled.
 
     Task functions must be importable (module-level functions or methods of
-    picklable instances).  Workers are tagged via ``REPRO_ENGINE_WORKER`` so
-    that nested ``"process"`` requests degrade to serial execution instead
-    of forking from a fork.
+    picklable instances).
     """
 
     name = "process"
 
     def _make_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=_mark_worker
-        )
+        return ProcessPoolExecutor(max_workers=self.max_workers)
 
 
 #: Backend registry: name → constructor accepting ``max_workers``.
@@ -214,15 +189,11 @@ def get_backend(
 ) -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through) to a backend.
 
-    ``None`` resolves to the serial backend.  A ``"process"`` request made
-    inside an engine worker process resolves to serial — this is the single
-    place where nested (cells × parties) parallelism is reined in.
+    ``None`` resolves to the serial backend.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     key = (spec or "serial").lower()
     if key not in BACKENDS:
         raise KeyError(f"unknown backend {spec!r}; available: {sorted(BACKENDS)}")
-    if key == "process" and in_worker_process():
-        key = "serial"
     return BACKENDS[key](max_workers=max_workers)

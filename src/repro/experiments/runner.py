@@ -85,11 +85,6 @@ class ExperimentSettings:
         ``"thread"`` or ``"process"``, see :mod:`repro.engine`) and its
         worker count (``None``: executor default).  Purely an execution
         knob — every backend yields identical records for a fixed seed.
-    party_backend:
-        Backend forwarded into each cell's :class:`MechanismConfig` to run
-        that mechanism's *parties*; nested process-in-process requests
-        degrade to serial inside engine workers (see
-        :func:`repro.engine.get_backend`).
     execution_mode / report_batch_size:
         Forwarded into each cell's :class:`MechanismConfig`:
         ``execution_mode="service"`` runs every mechanism through the
@@ -111,7 +106,6 @@ class ExperimentSettings:
     mechanisms: tuple[str, ...] = ("gtf", "fedpem", "taps")
     backend: str = "serial"
     max_workers: int | None = None
-    party_backend: str = "serial"
     execution_mode: str = "memory"
     report_batch_size: int | None = None
 
@@ -119,13 +113,11 @@ class ExperimentSettings:
         from repro.core.config import EXECUTION_MODES
         from repro.engine import available_backends
 
-        for field_name in ("backend", "party_backend"):
-            value = getattr(self, field_name)
-            if value.lower() not in available_backends():
-                raise ValueError(
-                    f"unknown {field_name} {value!r}; "
-                    f"available: {sorted(available_backends())}"
-                )
+        if self.backend.lower() not in available_backends():
+            raise ValueError(
+                f"unknown backend {self.backend!r}; "
+                f"available: {sorted(available_backends())}"
+            )
         if self.execution_mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution_mode {self.execution_mode!r}; "
@@ -269,7 +261,6 @@ def make_config(
         n_bits=n_bits,
         granularity=granularity,
         oracle=settings.oracle,
-        backend=settings.party_backend,
         execution_mode=settings.execution_mode,
         report_batch_size=settings.report_batch_size,
         **mode_kwargs,

@@ -202,7 +202,7 @@ class SweepSpec:
     #: (every backend/worker count yields identical records for a fixed
     #: seed), plus the free-form label.  Resuming a killed sweep on a
     #: different backend — or another machine — must therefore work.
-    _EXECUTION_ONLY: tuple[str, ...] = ("backend", "max_workers", "party_backend")
+    _EXECUTION_ONLY: tuple[str, ...] = ("backend", "max_workers")
 
     def fingerprint(self) -> str:
         """A stable digest of the grid identity — the resume-compatibility token.
@@ -210,8 +210,8 @@ class SweepSpec:
         Two specs with the same fingerprint enumerate the same grid with
         the same seeds, so a run store written under one can be resumed
         under the other.  Execution-only knobs (``backend``,
-        ``max_workers``, ``party_backend``) and the spec ``name`` are
-        excluded: they never change what a cell computes.
+        ``max_workers``) and the spec ``name`` are excluded: they never
+        change what a cell computes.
         """
         doc = self.to_dict()
         doc.pop("name", None)

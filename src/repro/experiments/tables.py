@@ -105,7 +105,9 @@ def table4(
 
     The direct-upload OUE/OLH columns are analytic (running them is the
     infeasible strategy the paper rules out); the three mechanisms are
-    actually executed and measured.
+    actually executed and measured.  The mean wall-clock runtime is in
+    each record's ``runtime_seconds`` but not in the rendered table, so
+    a rerun with the same seed renders the same text.
     """
     settings = _ablation_settings(settings)
     k = settings.ks[0]
@@ -117,7 +119,6 @@ def table4(
             "mech",
             "F1",
             "comm (kbits)",
-            "runtime (s)",
             "OUE comm",
             "OLH comm",
         ]
@@ -157,7 +158,6 @@ def table4(
                     mech_name,
                     record["f1"],
                     record["communication_bits"] / 1000.0,
-                    record["runtime_seconds"],
                     oue_costs.communication_human(),
                     olh_costs.communication_human(),
                 ]

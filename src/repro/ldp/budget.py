@@ -126,12 +126,11 @@ class PrivacyAccountant:
         )
 
     def merge(self, other: "PrivacyAccountant") -> None:
-        """Absorb another accountant's blocks (engine tasks account locally).
+        """Absorb another accountant's blocks (each party accounts locally).
 
-        The execution engine gives every party task its own accountant so
-        concurrent tasks never contend on shared state; after the backend
-        returns, the per-task accountants are merged — in deterministic
-        party order — into the run-level one.  The other accountant's parts
+        Every party's estimator records into its own accountant; after the
+        run, the per-party accountants are merged — in party order — into
+        the run-level one.  The other accountant's parts
         are kept as one nested snapshot, so :meth:`spent` adds its per-user
         totals as a whole, not its blocks one by one.
         """

@@ -139,8 +139,8 @@ class OptimizedLocalHashing(FrequencyOracle):
         allocated once per call, sized to the first block (ragged edge
         blocks use a contiguous prefix of it), so the working set stays
         cache-resident for any batch size and no block allocates.  The
-        scratch belongs to the call, never to the module or the oracle:
-        parties decode concurrently with one oracle on the thread backend.
+        scratch belongs to the call, never to the module or the oracle, so
+        one oracle may decode on several threads at once.
         The bucket reduction is ``x - (x // d') * d'``, not ``x % d'``: the
         same remainder, but NumPy's scalar ``%`` on uint64 was half the
         cost of a block (see :func:`_mix_reduce`).  Integer partial sums

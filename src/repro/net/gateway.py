@@ -43,12 +43,9 @@ gateway's event loop on a daemon thread and hands back a
 **Trust model.**  The gateway is a measurement instrument for trusted
 clients (localhost/lab networks), not an authenticated production
 endpoint: admission control protects the *server's resources* (frame
-sizes, domain allocations tied to broadcast size), while rounds
-deliberately have no connection ownership — any connection may stream
-into or close any round.  That is load-bearing: a process-backend client
-pickles its :class:`~repro.cluster.coordinator.ClusterCoordinator` into
-workers, which reconnect and legitimately finish rounds their parent's
-connection opened.
+sizes, domain allocations tied to broadcast size), while rounds have no
+connection ownership — any connection may stream into or close any
+round.
 """
 
 from __future__ import annotations

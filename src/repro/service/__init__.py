@@ -23,8 +23,7 @@ server memory is ``O(domain_size)``:
   serve harness behind ``repro serve`` (server + per-party client pools +
   per-round wire-bit reports in one call).
 
-Determinism contract: for a fixed seed on the serial backend, a service run
-is bit-identical to the in-memory run with the same report batching
+Determinism contract: for a fixed seed, a service run is bit-identical to the in-memory run with the same report batching
 (``tests/test_service_equivalence.py``).
 """
 

@@ -17,8 +17,8 @@ errors included.
 ``execution_mode="service"`` turns TAP/TAPS (and the baselines) into
 end-to-end streamed protocols without touching their trie logic.  The
 non-negotiable invariant, enforced by ``tests/test_service_equivalence.py``:
-for a fixed seed on the serial backend, a service run is bit-identical to
-the in-memory run with the same report batching.
+for a fixed seed, a service run is bit-identical to the in-memory run with
+the same report batching.
 """
 
 from __future__ import annotations
@@ -268,15 +268,6 @@ class AggregationServer:
         self._m_reports = metrics.counter("service_reports_total")
         self._m_upload_bits = metrics.counter("service_upload_bits_total")
         self._m_broadcast_bits = metrics.counter("service_broadcast_bits_total")
-
-    def __getstate__(self):
-        # Metric instruments carry locks, which don't pickle: a copy
-        # observes into its own fresh (unbound) state.
-        state = self.__dict__.copy()
-        for key in list(state):
-            if key == "metrics" or key.startswith("_m_"):
-                state[key] = None
-        return state
 
     def shutdown(self) -> None:
         """Nothing to release: part of the server protocol a

@@ -106,6 +106,15 @@ class TestRun:
         capsys.readouterr()
         assert json.loads(out.read_text())["mechanism"] == "gtf"
 
+    @pytest.mark.parametrize("flags", [["--backend", "thread"], ["--workers", "2"]])
+    def test_removed_party_backend_flags_are_refused(self, flags, capsys):
+        # A run's parties go in party order: there is no party pool left
+        # for these flags to pick or size.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "taps", "--smoke", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_spec_run_matches_api_and_resume_is_bit_identical(self, tmp_path, capsys):

@@ -15,8 +15,6 @@ shard export as ``shard_mismatch``.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.cluster.coordinator import (
@@ -84,16 +82,12 @@ CASES = [(TAPMechanism, "krr"), (TAPSMechanism, "olh")]
 
 
 @pytest.mark.parametrize("n_shards", [2, 3])
-@pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("mechanism_cls,oracle", CASES)
 class TestClusterBitIdentical:
     def test_discovery_over_live_cluster(
-        self, mechanism_cls, oracle, backend, n_shards, shard_pool, two_party_dataset
+        self, mechanism_cls, oracle, n_shards, shard_pool, two_party_dataset
     ):
-        config = _config(
-            two_party_dataset, oracle=oracle, backend=backend,
-            max_workers=2 if backend == "thread" else None,
-        )
+        config = _config(two_party_dataset, oracle=oracle)
         mechanism = mechanism_cls(config)
         service = run_in_service_mode(mechanism, two_party_dataset, rng=123)
         cluster = run_over_network(
@@ -342,16 +336,6 @@ class TestClusterSurface:
             parse_cluster_addresses("h1:1,,h2:2")
         with pytest.raises(ValueError):
             parse_cluster_addresses("no-port")
-
-    def test_coordinator_pickles_without_its_sockets(self, shard_pool):
-        """Process-backend workers receive coordinator copies by pickle;
-        the live connections must be dropped and rebuilt lazily."""
-        coordinator = ClusterCoordinator(_cluster_address(shard_pool, 2))
-        assert coordinator._conn() is not None
-        clone = pickle.loads(pickle.dumps(coordinator))
-        assert clone._connection is None
-        assert clone.addresses == coordinator.addresses
-        coordinator.shutdown()
 
     @pytest.mark.parametrize("gateway", ["h:1", "h1:1,h2:2"])
     def test_one_server_class_for_every_address(self, gateway):

@@ -14,7 +14,6 @@ from repro.engine import (
     fan_out_seeds,
     get_backend,
 )
-from repro.engine.backends import _WORKER_ENV, in_worker_process
 from repro.utils.rng import spawn_children, spawn_seeds
 
 BACKEND_NAMES = ("serial", "thread", "process")
@@ -32,10 +31,6 @@ def _fail_on_three(x):
 
 def _seeded_draw(task, seed):
     return (task, int(np.random.default_rng(seed).integers(0, 1_000_000)))
-
-
-def _read_worker_flag(_task):
-    return in_worker_process()
 
 
 @pytest.fixture(params=BACKEND_NAMES)
@@ -72,12 +67,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             ThreadBackend(max_workers=0)
 
-    def test_process_inside_worker_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setenv(_WORKER_ENV, "1")
-        assert isinstance(get_backend("process"), SerialBackend)
-        # Only process requests degrade; threads are still fine in a worker.
-        assert isinstance(get_backend("thread"), ThreadBackend)
-
 
 class TestMapTasks:
     def test_results_in_task_order(self, backend):
@@ -102,11 +91,6 @@ class TestMapTasks:
     def test_context_manager_shuts_down(self):
         with get_backend("thread", max_workers=1) as engine:
             assert engine.map_tasks(_square, [2]) == [4]
-
-    def test_process_workers_are_marked(self):
-        with get_backend("process", max_workers=1) as engine:
-            assert engine.map_tasks(_read_worker_flag, [None]) == [True]
-        assert not in_worker_process()
 
 
 class TestSeedFanOut:

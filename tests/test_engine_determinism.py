@@ -1,18 +1,21 @@
-"""Cross-backend determinism: every backend reproduces the serial results.
+"""Determinism: fixed-seed mechanism runs and backend-independent sweeps.
 
-The engine's contract is that backends are a pure execution knob.  These
-tests pin it down end to end: mechanism runs (heavy hitters, per-party
-reports, communication and privacy accounting) and whole sweep grids must
-be identical across serial, thread and process execution for a fixed seed.
+Mechanism runs (heavy hitters, per-party reports, communication and
+privacy accounting) are a function of the seed alone: their discrete
+outputs are pinned below.  The engine's contract is that sweep backends
+are a pure execution knob: whole sweep grids must be identical across
+serial, thread and process execution for a fixed seed.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
 from repro.baselines.fedpem import FedPEMMechanism
 from repro.baselines.gtf import GTFMechanism
-from repro.baselines.pem import SinglePartyPEM
 from repro.core.config import MechanismConfig
 from repro.core.tap import TAPMechanism
 from repro.core.taps import TAPSMechanism
@@ -83,44 +86,74 @@ def serial_fingerprints(dataset, config):
     }
 
 
-class TestMechanismsAcrossBackends:
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
-    def test_identical_to_serial(
-        self, mechanism, backend, dataset, config, serial_fingerprints
-    ):
-        cls = MECHANISMS[mechanism]
-        parallel_config = config.with_updates(backend=backend, max_workers=2)
-        result = cls(parallel_config).run(dataset, rng=77)
-        assert _fingerprint(result) == serial_fingerprints[mechanism]
+#: The discrete outputs of every mechanism at ``rng=77`` on the module's
+#: dataset and config: (heavy hitters, upload bits, broadcast bits,
+#: n_reports, digest of :func:`_discrete_digest`).  Floats are left out,
+#: so the pins hold on every supported Python and platform.
+SERIAL_PINS = {
+    ("memory", "tap"): (
+        [117, 1838, 246, 2648, 125, 969], 1984, 640, 1600, "c06917b3b4396ba9"
+    ),
+    ("memory", "taps"): (
+        [117, 246, 2648, 125, 969, 1000], 6272, 5248, 1600, "e0150a0be1412fdf"
+    ),
+    ("memory", "fedpem"): (
+        [1605, 948, 959, 1996, 950, 984], 768, 128, 1600, "6aa9bf4e1b436095"
+    ),
+    ("memory", "gtf"): (
+        [985, 984, 1140, 945, 969, 40], 5120, 4480, 1600, "6029de91e1e1f6b0"
+    ),
+    ("service", "tap"): (
+        [987, 984, 3568, 985, 2851, 1618], 18432, 12648, 1600, "ff5f4f1bc1b54da6"
+    ),
+    ("service", "taps"): (
+        [947, 3568, 3806, 984, 985, 987], 22912, 17440, 1600, "663ba099ce96af1e"
+    ),
+    ("service", "fedpem"): (
+        [984, 1605, 648, 953, 977, 978], 17408, 11056, 1600, "17f8db138f1ab5e0"
+    ),
+    ("service", "gtf"): (
+        [1605, 1608, 1602, 1115, 1601, 1606], 21760, 15408, 1600, "aae0bf3eb9f689ac"
+    ),
+}
+
+
+def _discrete_digest(fingerprint) -> str:
+    """Digest of a fingerprint's per-level selections, per-party reported
+    items and accountant blocks (their float-valued parts left out)."""
+    discrete = {
+        "selected_per_level": fingerprint["selected_per_level"],
+        "party_items": {
+            name: sorted(items)
+            for name, items in fingerprint["party_heavy_hitters"].items()
+        },
+        "accountant_blocks": fingerprint["accountant_blocks"],
+    }
+    canonical = json.dumps(discrete, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+class TestSerialMechanismRuns:
+    @pytest.mark.parametrize("mode,mechanism", sorted(SERIAL_PINS))
+    def test_discrete_outputs_are_pinned(self, mode, mechanism, dataset, config):
+        if mode == "service":
+            config = config.with_updates(
+                execution_mode="service", simulation_mode="per_user"
+            )
+        fingerprint = _fingerprint(MECHANISMS[mechanism](config).run(dataset, rng=77))
+        assert (
+            fingerprint["heavy_hitters"],
+            fingerprint["upload_bits"],
+            fingerprint["broadcast_bits"],
+            fingerprint["n_reports"],
+            _discrete_digest(fingerprint),
+        ) == SERIAL_PINS[mode, mechanism]
 
     def test_serial_rerun_is_deterministic(
         self, dataset, config, serial_fingerprints
     ):
         result = TAPMechanism(config).run(dataset, rng=77)
         assert _fingerprint(result) == serial_fingerprints["tap"]
-
-    def test_accounting_survives_parallel_execution(self, dataset, config):
-        result = TAPMechanism(config.with_updates(backend="process")).run(
-            dataset, rng=3
-        )
-        assert result.accountant.satisfies_ldp()
-        assert result.accountant.n_reports() <= dataset.total_users
-
-
-class TestPEMAcrossBackends:
-    def test_run_many_identical_across_backends(self, dataset):
-        pem = SinglePartyPEM(k=5, n_bits=dataset.n_bits, granularity=6)
-        reference = None
-        for backend in ("serial",) + PARALLEL_BACKENDS:
-            results = pem.run_many(
-                dataset.parties, rng=11, backend=backend, max_workers=2
-            )
-            snapshot = [(r.party, r.heavy_hitters, r.estimated_counts) for r in results]
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference, backend
 
 
 class TestSweepAcrossBackends:
@@ -155,15 +188,19 @@ class TestSweepAcrossBackends:
 
 
 class TestBackendValidation:
-    def test_config_rejects_unknown_backend_eagerly(self):
-        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
-            MechanismConfig(backend="gpu")
-
     def test_settings_reject_unknown_backends_eagerly(self):
         with pytest.raises(ValueError, match="unknown backend"):
             ExperimentSettings(backend="bogus")
-        with pytest.raises(ValueError, match="unknown party_backend"):
-            ExperimentSettings(party_backend="bogus")
+
+    @pytest.mark.parametrize("key,value", [("backend", "thread"), ("max_workers", 2)])
+    def test_config_refuses_removed_party_backend_knobs(self, key, value):
+        # Parties run in party order: a config that still asks for a party
+        # pool must not run as if it applied.
+        with pytest.raises(TypeError, match=key):
+            MechanismConfig(**{key: value})
+        valid_keys = r"allowed: \['defense', "
+        with pytest.raises(ValueError, match=rf"unknown config key.*'{key}'.*{valid_keys}"):
+            MechanismConfig.from_dict({key: value})
 
 
 class TestStableSweepSeeding:

@@ -70,6 +70,19 @@ class TestFromDict:
         with pytest.raises(SpecError, match="non-empty"):
             SweepSpec.from_dict({"grid": {"datasets": []}})
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("settings", "party_backend", "thread"),
+         ("config_overrides", "backend", "thread"),
+         ("config_overrides", "max_workers", 2)],
+    )
+    def test_stale_party_backend_keys_fail_loudly(self, section, key, value):
+        # Parties run in party order: a spec that still sizes the removed
+        # party pool must not run as if it applied.
+        stale = {**SPEC_DICT, section: {**SPEC_DICT.get(section, {}), key: value}}
+        with pytest.raises(SpecError, match=rf"stale\.yaml.*{key}"):
+            SweepSpec.from_dict(stale, source="stale.yaml")
+
     def test_invalid_settings_value_is_a_spec_error(self):
         with pytest.raises(SpecError, match="backend"):
             SweepSpec.from_dict({"settings": {"backend": "quantum"}})
@@ -122,7 +135,6 @@ class TestFingerprint:
                 **SPEC_DICT["settings"],
                 "backend": "thread",
                 "max_workers": 4,
-                "party_backend": "thread",
             },
         )
         assert a.fingerprint() == SweepSpec.from_dict(changed).fingerprint()

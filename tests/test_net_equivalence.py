@@ -64,16 +64,12 @@ def _assert_bit_identical(service, network):
 CASES = [(TAPMechanism, "krr"), (TAPSMechanism, "olh")]
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
 @pytest.mark.parametrize("mechanism_cls,oracle", CASES)
 class TestNetworkModeBitIdentical:
     def test_discovery_over_live_gateway(
-        self, mechanism_cls, oracle, backend, gateway, two_party_dataset
+        self, mechanism_cls, oracle, gateway, two_party_dataset
     ):
-        config = _config(
-            two_party_dataset, oracle=oracle, backend=backend,
-            max_workers=2 if backend == "thread" else None,
-        )
+        config = _config(two_party_dataset, oracle=oracle)
         mechanism = mechanism_cls(config)
         service = run_in_service_mode(mechanism, two_party_dataset, rng=123)
         network = run_over_network(

@@ -462,19 +462,6 @@ class TestCoordinatorOverOneGateway:
         assert estimate.n_users == 10
         server.shutdown()
 
-    def test_pickles_without_its_socket(self, gateway):
-        import pickle
-
-        server = ClusterCoordinator(gateway.address)
-        domain = CandidateDomain.full_domain(2)
-        oracle = make_oracle("krr", 4.0)
-        server.open_round(party="p", level=2, oracle=oracle, domain=domain)
-        clone = pickle.loads(pickle.dumps(server))
-        assert clone.addresses == server.addresses == [gateway.address]
-        assert clone.broadcast_bits() == server.broadcast_bits()
-        assert clone._connection is None
-        server.shutdown()
-
     @pytest.mark.parametrize("level", [0, 1, 4, 14])
     def test_broadcast_bits_cross_check(self, gateway, level):
         """The gateway's accounting of the open equals the canonical bytes

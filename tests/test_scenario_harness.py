@@ -2,8 +2,7 @@
 
 The backbone invariant mirrors ``test_service_equivalence.py``: a scenario
 run with the same seed produces a bit-identical snapshot-record sequence
-— and, store included, byte-identical persisted files — whatever
-execution backend its config names.
+— and, store included, byte-identical persisted files.
 """
 
 from __future__ import annotations
@@ -103,23 +102,6 @@ class TestRunScenario:
 
 class TestBackendDeterminism:
     """Same seed ⇒ bit-identical snapshot records."""
-
-    def test_config_backend_does_not_change_olh_records(self):
-        # Every tracker pass counts each batch with one support-count scan
-        # (OLH's is the heavy one); a config's backend runs no part of it.
-        scenario = _scenario(n_steps=4)
-        config = MechanismConfig(
-            k=3, epsilon=6.0, n_bits=8, granularity=3, oracle="olh",
-            simulation_mode="per_user",
-        )
-        serial = _run(scenario, config=config, seed=11)
-        threaded = _run(
-            scenario,
-            config=config.with_updates(backend="thread", max_workers=2),
-            seed=11,
-        )
-        assert threaded.records == serial.records
-        assert threaded.events == serial.events
 
     def test_run_scenario_has_no_backend_knob(self):
         with pytest.raises(TypeError, match="backend"):

@@ -101,20 +101,7 @@ class TestServiceTranscript:
         assert batch_bits < total_reports * 8 * 2
 
 
-class TestServiceModeBackends:
-    def test_parallel_party_backends_reproduce_serial(self, two_party_dataset):
-        config = _config(two_party_dataset, report_batch_size=64,
-                         execution_mode="service")
-        serial = TAPMechanism(config).run(two_party_dataset, rng=3)
-        threaded = TAPMechanism(
-            config.with_updates(backend="thread", max_workers=2)
-        ).run(two_party_dataset, rng=3)
-        _assert_bit_identical(serial, threaded)
-        assert (
-            threaded.transcript.bits_by_kind()["report_batch"]
-            == serial.transcript.bits_by_kind()["report_batch"]
-        )
-
+class TestServiceModeBaselines:
     def test_service_mode_works_for_baselines(self, two_party_dataset):
         config = _config(two_party_dataset, report_batch_size=128)
         memory = FedPEMMechanism(config).run(two_party_dataset, rng=2)
