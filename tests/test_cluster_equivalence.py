@@ -3,8 +3,8 @@
 For a fixed seed, discovery over a live **N-shard localhost cluster** is
 bit-identical — per-round estimates, per-message transcript, exact
 wire-bit totals — to a single gateway and to in-memory service mode, for
-TAP (k-RR) and an OLH-decoding mechanism on the serial and thread
-backends, including a scenario-replay loadgen workload.  Shard fan-out is
+TAP (k-RR), an OLH-decoding mechanism and the FedPEM and GTF baselines,
+including a scenario-replay loadgen workload.  Shard fan-out is
 transport, never semantics.
 
 Failure taxonomy coverage: a clean shard shutdown mid-run surfaces as a
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.fedpem import FedPEMMechanism
+from repro.baselines.gtf import GTFMechanism
 from repro.cluster.coordinator import (
     ClusterConnection,
     ClusterCoordinator,
@@ -77,8 +79,14 @@ def _assert_bit_identical(service, network):
 
 
 #: TAP over k-RR plus an OLH-decoding mechanism: OLH exercises every
-#: shard's sharded decode path under the cluster's batch routing.
-CASES = [(TAPMechanism, "krr"), (TAPSMechanism, "olh")]
+#: shard's sharded decode path under the cluster's batch routing.  The
+#: FedPEM (OUE) and GTF (k-RR) baselines cover their own party loops.
+CASES = [
+    (TAPMechanism, "krr"),
+    (TAPSMechanism, "olh"),
+    (FedPEMMechanism, "oue"),
+    (GTFMechanism, "krr"),
+]
 
 
 @pytest.mark.parametrize("n_shards", [2, 3])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -149,6 +150,25 @@ class TestSerialMechanismRuns:
             _discrete_digest(fingerprint),
         ) == SERIAL_PINS[mode, mechanism]
 
+    @pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+    def test_parties_run_in_party_order(self, mechanism, dataset, config):
+        # Each round's parties speak in the dataset's party order, at most
+        # once each (TAPS's pruning hand-off is sent by every party but the
+        # last and received by every party but the first), and the
+        # accountant's blocks come grouped by party in that order.
+        result = MECHANISMS[mechanism](config).run(dataset, rng=77)
+        order = [party.name for party in dataset.parties]
+        rounds = defaultdict(list)
+        for message in result.transcript.messages:
+            rounds[message.direction, message.kind, message.level].append(
+                message.party
+            )
+        for parties in rounds.values():
+            assert parties == sorted(set(parties), key=order.index)
+        block_parties = [block.party for block in result.accountant.blocks]
+        assert set(block_parties) == set(order)
+        assert block_parties == sorted(block_parties, key=order.index)
+
     def test_serial_rerun_is_deterministic(
         self, dataset, config, serial_fingerprints
     ):
@@ -201,6 +221,10 @@ class TestBackendValidation:
         valid_keys = r"allowed: \['defense', "
         with pytest.raises(ValueError, match=rf"unknown config key.*'{key}'.*{valid_keys}"):
             MechanismConfig.from_dict({key: value})
+
+    def test_settings_refuse_removed_party_backend(self):
+        with pytest.raises(TypeError, match="party_backend"):
+            ExperimentSettings(party_backend="thread")
 
 
 class TestStableSweepSeeding:

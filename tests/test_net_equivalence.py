@@ -2,8 +2,8 @@
 
 For a fixed seed, a discovery run served by a **live TCP gateway** is
 bit-identical — per-round estimates, per-message transcript, and exact
-wire-bit totals — to ``execution_mode="service"``, for TAP (k-RR) and an
-OLH-decoding mechanism, on the serial and thread backends.  The network
+wire-bit totals — to ``execution_mode="service"``, for TAP (k-RR), an
+OLH-decoding mechanism and the FedPEM and GTF baselines.  The network
 layer adds transport, never semantics.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.fedpem import FedPEMMechanism
+from repro.baselines.gtf import GTFMechanism
 from repro.core.config import MechanismConfig
 from repro.core.tap import TAPMechanism
 from repro.core.taps import TAPSMechanism
@@ -60,8 +62,15 @@ def _assert_bit_identical(service, network):
 
 
 #: (mechanism, oracle): TAP over k-RR plus an OLH-decoding mechanism —
-#: OLH exercises the gateway's full candidate-scan decode end to end.
-CASES = [(TAPMechanism, "krr"), (TAPSMechanism, "olh")]
+#: OLH exercises the gateway's full candidate-scan decode end to end —
+#: and the two baselines' party loops, FedPEM over OUE's packed unary
+#: reports and GTF (k-RR whatever the config says).
+CASES = [
+    (TAPMechanism, "krr"),
+    (TAPSMechanism, "olh"),
+    (FedPEMMechanism, "oue"),
+    (GTFMechanism, "krr"),
+]
 
 
 @pytest.mark.parametrize("mechanism_cls,oracle", CASES)
