@@ -18,79 +18,52 @@ Quickstart
 True
 """
 
-from repro.core import (
-    ExtensionStrategy,
-    MechanismConfig,
-    MechanismResult,
-    TAPMechanism,
-    TAPSMechanism,
-)
-from repro.baselines import (
-    DirectUploadCostModel,
-    FedPEMMechanism,
-    GTFMechanism,
-    SinglePartyPEM,
-    TrieHHBaseline,
-)
-from repro.datasets import FederatedDataset, dataset_summary_table, load_dataset
-from repro.engine import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-)
-from repro.ldp import (
-    KRandomizedResponse,
-    OptimizedLocalHashing,
-    OptimizedUnaryEncoding,
-    make_oracle,
-)
-from repro.metrics import average_local_recall, f1_score, ncr_score
-from repro.federation import Party
-from repro.scenarios import Scenario, ScenarioSpec, run_scenario
-from repro.service import (
-    AggregationServer,
-    ClientPool,
-    SlidingWindowDiscovery,
-    run_in_service_mode,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExtensionStrategy",
-    "MechanismConfig",
-    "MechanismResult",
-    "TAPMechanism",
-    "TAPSMechanism",
-    "FedPEMMechanism",
-    "GTFMechanism",
-    "SinglePartyPEM",
-    "TrieHHBaseline",
-    "DirectUploadCostModel",
-    "FederatedDataset",
-    "load_dataset",
-    "dataset_summary_table",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "get_backend",
-    "KRandomizedResponse",
-    "OptimizedUnaryEncoding",
-    "OptimizedLocalHashing",
-    "make_oracle",
-    "f1_score",
-    "ncr_score",
-    "average_local_recall",
-    "Party",
-    "AggregationServer",
-    "ClientPool",
-    "Scenario",
-    "ScenarioSpec",
-    "SlidingWindowDiscovery",
-    "run_in_service_mode",
-    "run_scenario",
-    "__version__",
-]
+# Names resolve on first use (PEP 562): ``import repro`` loads no
+# submodule, so a gateway or CLI process pays only for what it runs.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "ExtensionStrategy",
+            "MechanismConfig",
+            "MechanismResult",
+            "TAPMechanism",
+            "TAPSMechanism",
+        ),
+        "repro.baselines": (
+            "FedPEMMechanism",
+            "GTFMechanism",
+            "SinglePartyPEM",
+            "TrieHHBaseline",
+            "DirectUploadCostModel",
+        ),
+        "repro.datasets": ("FederatedDataset", "load_dataset", "dataset_summary_table"),
+        "repro.engine": (
+            "ExecutionBackend",
+            "SerialBackend",
+            "ThreadBackend",
+            "ProcessBackend",
+            "get_backend",
+        ),
+        "repro.ldp": (
+            "KRandomizedResponse",
+            "OptimizedUnaryEncoding",
+            "OptimizedLocalHashing",
+            "make_oracle",
+        ),
+        "repro.metrics": ("f1_score", "ncr_score", "average_local_recall"),
+        "repro.federation": ("Party",),
+        "repro.service": (
+            "AggregationServer",
+            "ClientPool",
+            "SlidingWindowDiscovery",
+            "run_in_service_mode",
+        ),
+        "repro.scenarios": ("Scenario", "ScenarioSpec", "run_scenario"),
+    },
+)
+__all__.append("__version__")

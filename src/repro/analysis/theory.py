@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.utils.validation import check_positive
 
@@ -37,17 +36,16 @@ def constant_extension_probability(delta_f: float, sigma: float, k: int) -> floa
     if delta_f < 0:
         raise ValueError(f"delta_f must be >= 0, got {delta_f}")
     threshold = 2.0 * math.sqrt(math.pi) / (3.0 * k + 1.0)
-    if sigma <= 0:
-        tail = 0.5 if delta_f == 0 else 0.0
-    else:
-        tail = float(ndtr(-delta_f / (2.0 * sigma)))
-    return 1.0 if tail > threshold else 0.0
+    return 1.0 if gaussian_tail(delta_f, sigma) > threshold else 0.0
 
 
 def gaussian_tail(delta_f: float, sigma: float) -> float:
     """``Φ(−δ_f / (2σ))`` — the raw Gaussian tail used inside Theorem 5.2."""
     if sigma <= 0:
         return 0.5 if delta_f == 0 else 0.0
+    # Imported here, not at module load: see repro.core.extension.
+    from scipy.special import ndtr
+
     return float(ndtr(-delta_f / (2.0 * sigma)))
 
 

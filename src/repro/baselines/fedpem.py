@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.base import FederatedMechanism
 from repro.core.config import ExtensionStrategy, MechanismConfig
 from repro.core.estimation import PartyEstimator
-from repro.core.results import MechanismResult, PartyRunRecord
+from repro.core.results import PartyRunRecord
 from repro.datasets.base import FederatedDataset
 from repro.federation.transcript import FederationTranscript
 
@@ -68,7 +68,6 @@ class FedPEMMechanism(FederatedMechanism):
         config: MechanismConfig,
         estimators: dict[str, PartyEstimator],
         transcript: FederationTranscript,
-        rng,
     ) -> dict[str, PartyRunRecord]:
         for name in estimators:
             transcript.log_broadcast(name, "parameters", 1, level=0)
@@ -81,7 +80,3 @@ class FedPEMMechanism(FederatedMechanism):
             )
             records[name] = record
         return records
-
-    def run(self, dataset: FederatedDataset, rng=None) -> MechanismResult:
-        """Run FedPEM on ``dataset`` and return the federated top-k result."""
-        return super().run(dataset, rng)

@@ -23,7 +23,7 @@ from repro.core.base import FederatedMechanism
 from repro.core.aggregation import aggregate_local_reports
 from repro.core.config import ExtensionStrategy, MechanismConfig
 from repro.core.estimation import PartyEstimator
-from repro.core.results import MechanismResult, PartyRunRecord
+from repro.core.results import PartyRunRecord
 from repro.datasets.base import FederatedDataset
 from repro.federation.transcript import FederationTranscript
 
@@ -70,7 +70,6 @@ class GTFMechanism(FederatedMechanism):
         config: MechanismConfig,
         estimators: dict[str, PartyEstimator],
         transcript: FederationTranscript,
-        rng,
     ) -> dict[str, PartyRunRecord]:
         g = config.granularity
         k = config.k
@@ -128,7 +127,3 @@ class GTFMechanism(FederatedMechanism):
     ) -> tuple[list[int], dict[int, float]]:
         """Population-agnostic counting: every party contributes equally."""
         return aggregate_local_reports(reports, config.k, weights=None)
-
-    def run(self, dataset: FederatedDataset, rng=None) -> MechanismResult:
-        """Run GTF on ``dataset`` and return the federated top-k result."""
-        return super().run(dataset, rng)

@@ -24,14 +24,14 @@ import argparse
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.cli.common import CLIError, add_smoke_argument, emit_json
-from repro.experiments import figures as figures_mod
-from repro.experiments import tables as tables_mod
 from repro.experiments.reporting import format_series, records_to_table, series_by_epsilon
-from repro.experiments.runner import ExperimentSettings
 from repro.utils.tables import TextTable
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentSettings
 
 
 # --------------------------------------------------------------------------- #
@@ -105,30 +105,40 @@ def _figure_text(
 
 @dataclass(frozen=True)
 class BenchTarget:
-    """One renderable table/figure: how to compute it and how to re-render it."""
+    """One renderable table/figure: how to compute it and how to re-render it.
+
+    ``name`` is also the :mod:`repro.experiments` function that computes
+    it, resolved only when the target runs: listing or re-rendering
+    targets never loads the experiments stack.
+    """
 
     name: str
-    compute: Callable[[ExperimentSettings], object]
     render: Callable[[Sequence[Mapping]], str]
     description: str
+
+    def compute(self, settings: ExperimentSettings) -> object:
+        """The target's table/figure function, run at ``settings``."""
+        from repro import experiments
+
+        return getattr(experiments, self.name)(settings)
 
 
 TARGETS: dict[str, BenchTarget] = {
     t.name: t
     for t in (
         BenchTarget(
-            "table2", tables_mod.table2,
+            "table2",
             lambda r: _listing(r, title="Table 2"),
             "dataset inventory (parties, users, items)",
         ),
         BenchTarget(
-            "table3", tables_mod.table3,
+            "table3",
             lambda r: _pivot(r, title="Table 3", rows=("dataset", "step_size"),
                              columns="mechanism", value="f1"),
             "F1 vs step size ⌊m/g⌋",
         ),
         BenchTarget(
-            "table4", tables_mod.table4,
+            "table4",
             lambda r: _pivot(r, title="Table 4 (F1)", rows=("user_fraction", "n_users"),
                              columns="mechanism", value="f1")
             + "\n\n"
@@ -138,46 +148,46 @@ TARGETS: dict[str, BenchTarget] = {
             "scalability on UBA (F1, communication, runtime)",
         ),
         BenchTarget(
-            "table5", tables_mod.table5,
+            "table5",
             lambda r: _pivot(r, title="Table 5", rows="dataset",
                              columns="variant", value="f1"),
             "fixed vs adaptive extension",
         ),
         BenchTarget(
-            "table6", tables_mod.table6,
+            "table6",
             lambda r: _pivot(r, title="Table 6", rows="dataset",
                              columns="shared_trie", value="f1"),
             "shared shallow trie ablation",
         ),
         BenchTarget(
-            "table7", tables_mod.table7,
+            "table7",
             lambda r: _listing(r, title="Table 7"),
             "statistical heterogeneity (average local recall)",
         ),
         BenchTarget(
-            "table8", tables_mod.table8,
+            "table8",
             lambda r: _pivot(r, title="Table 8", rows="beta",
                              columns="mechanism", value="f1"),
             "data heterogeneity (Dirichlet β) on SYN",
         ),
         BenchTarget(
-            "figure4", figures_mod.figure4,
+            "figure4",
             lambda r: _figure_text(r, title="Figure 4", value="f1", value_name="F1"),
             "F1 vs ε for k ∈ {10, 20, 40}",
         ),
         BenchTarget(
-            "figure5", figures_mod.figure5,
+            "figure5",
             lambda r: _figure_text(r, title="Figure 5", value="ncr", value_name="NCR"),
             "NCR vs ε for k ∈ {10, 20, 40}",
         ),
         BenchTarget(
-            "figure6", figures_mod.figure6,
+            "figure6",
             lambda r: _figure_text(r, title="Figure 6", value="f1", value_name="F1",
                                    panel_keys=("dataset", "oracle")),
             "F1 vs ε under the OUE/OLH oracles",
         ),
         BenchTarget(
-            "figure7", figures_mod.figure7,
+            "figure7",
             lambda r: _figure_text(r, title="Figure 7", value="f1", value_name="F1"),
             "TAPS vs TAP (consensus pruning ablation)",
         ),
@@ -319,6 +329,8 @@ def cmd(args: argparse.Namespace) -> int:
         records = load_records(args.from_file)
         print(target.render(records))
         return 0
+
+    from repro.experiments.runner import ExperimentSettings
 
     settings = ExperimentSettings(seed=args.seed, granularity=6, repetitions=1)
     if args.smoke:

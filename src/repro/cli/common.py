@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine import available_backends
-from repro.experiments.serialization import _to_jsonable
 
 
 class CLIError(Exception):
@@ -18,6 +17,8 @@ class CLIError(Exception):
 
 def emit_json(payload: Any, output: str | Path | None, *, quiet: bool = False) -> None:
     """Write a JSON document to ``output`` (``None``/``-`` → stdout)."""
+    from repro.experiments.serialization import _to_jsonable
+
     text = json.dumps(_to_jsonable(payload), indent=2, sort_keys=True)
     if output is None or str(output) == "-":
         print(text)

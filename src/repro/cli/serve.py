@@ -37,8 +37,6 @@ from repro.cli.common import (
     emit_json,
     resolve_scale,
 )
-from repro.datasets.registry import load_dataset
-from repro.service.harness import serve_dataset
 
 
 def add_parser(subparsers) -> argparse.ArgumentParser:
@@ -253,7 +251,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _cmd_listen(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.experiments.spec import SpecError, load_loadgen_spec
     from repro.net.client import parse_address
     from repro.net.gateway import AggregationGateway, run_gateway_forever
 
@@ -274,6 +271,8 @@ def _cmd_listen(args: argparse.Namespace) -> int:
         raise CLIError(str(exc)) from exc
     kwargs: dict = {}
     if args.spec is not None:
+        from repro.experiments.spec import SpecError, load_loadgen_spec
+
         try:
             kwargs = load_loadgen_spec(args.spec).gateway_kwargs()
         except SpecError as exc:
@@ -341,6 +340,9 @@ def cmd(args: argparse.Namespace) -> int:
             f"{', '.join(ignored)}: scenario-only flag(s); "
             "pass --scenario SPEC to run the scenario lab"
         )
+    from repro.datasets.registry import load_dataset
+    from repro.service.harness import serve_dataset
+
     scale = resolve_scale(args)
     try:
         dataset = load_dataset(args.dataset, scale=scale, seed=args.seed)

@@ -24,10 +24,6 @@ import sys
 from pathlib import Path
 
 from repro.cli.common import CLIError, add_backend_arguments, add_smoke_argument
-from repro.experiments.runner import run_sweep
-from repro.experiments.serialization import save_sweep
-from repro.experiments.spec import SpecError, load_spec, save_spec
-from repro.experiments.store import StoreError, SweepCellStore
 
 
 def add_parser(subparsers) -> argparse.ArgumentParser:
@@ -58,6 +54,11 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
 
 
 def cmd(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_sweep
+    from repro.experiments.serialization import save_sweep
+    from repro.experiments.spec import SpecError, load_spec, save_spec
+    from repro.experiments.store import StoreError, SweepCellStore
+
     try:
         spec = load_spec(args.spec)
     except SpecError as exc:

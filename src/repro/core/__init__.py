@@ -12,40 +12,27 @@
   communication transcript and privacy accounting for one run.
 """
 
-from repro.core.config import ExtensionStrategy, MechanismConfig
-from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
-from repro.core.base import FederatedMechanism
-from repro.core.extension import (
-    adaptive_extension_count,
-    drift_allowance,
-    select_anchor,
-)
-from repro.core.shared_trie import SharedTrieResult, construct_shared_trie
-from repro.core.pruning import (
-    PruningCandidates,
-    consensus_prune,
-    select_pruning_candidates,
-)
-from repro.core.tap import TAPMechanism
-from repro.core.taps import TAPSMechanism
-from repro.core.aggregation import aggregate_local_reports
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExtensionStrategy",
-    "MechanismConfig",
-    "LevelEstimate",
-    "MechanismResult",
-    "PartyRunRecord",
-    "FederatedMechanism",
-    "adaptive_extension_count",
-    "drift_allowance",
-    "select_anchor",
-    "SharedTrieResult",
-    "construct_shared_trie",
-    "PruningCandidates",
-    "consensus_prune",
-    "select_pruning_candidates",
-    "TAPMechanism",
-    "TAPSMechanism",
-    "aggregate_local_reports",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("ExtensionStrategy", "MechanismConfig"),
+        "repro.core.results": ("LevelEstimate", "MechanismResult", "PartyRunRecord"),
+        "repro.core.base": ("FederatedMechanism",),
+        "repro.core.extension": (
+            "adaptive_extension_count",
+            "drift_allowance",
+            "select_anchor",
+        ),
+        "repro.core.shared_trie": ("SharedTrieResult", "construct_shared_trie"),
+        "repro.core.pruning": (
+            "PruningCandidates",
+            "consensus_prune",
+            "select_pruning_candidates",
+        ),
+        "repro.core.tap": ("TAPMechanism",),
+        "repro.core.taps": ("TAPSMechanism",),
+        "repro.core.aggregation": ("aggregate_local_reports",),
+    },
+)

@@ -65,7 +65,7 @@ class FederatedMechanism(abc.ABC):
             for party, seed in zip(dataset.parties, party_seeds)
         }
 
-        party_records = self._execute(dataset, config, estimators, transcript, gen)
+        party_records = self._execute(dataset, config, estimators, transcript)
 
         # Merge per-party privacy accounting in deterministic party order.
         accountant = PrivacyAccountant(epsilon=config.epsilon)
@@ -139,7 +139,6 @@ class FederatedMechanism(abc.ABC):
         config: MechanismConfig,
         estimators: dict[str, PartyEstimator],
         transcript: FederationTranscript,
-        rng,
     ) -> dict[str, PartyRunRecord]:
         """Run the protocol and return per-party records with local heavy hitters."""
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.utils.validation import check_positive
 
@@ -115,6 +114,10 @@ def drift_allowance(
     # hi <= limit - k_star keeps every drifted rank inside freqs.
     drifts = np.arange(lo, hi + 1)
     deltas = freqs[k_star - 1] - freqs[k_star + drifts - 1]
+    # Imported here: scipy.special costs a gateway or CLI process ~0.3 s
+    # of start-up, and only a discovery ever reaches this line.
+    from scipy.special import ndtr
+
     probs = ndtr(-deltas / (sigma * math.sqrt(2.0)))
     expectation = 0.0
     for x, prob in zip(drifts.tolist(), probs.tolist()):

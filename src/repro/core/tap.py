@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.base import FederatedMechanism
 from repro.core.config import MechanismConfig
 from repro.core.estimation import PartyEstimator
-from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
+from repro.core.results import LevelEstimate, PartyRunRecord
 from repro.core.shared_trie import construct_shared_trie
 from repro.datasets.base import FederatedDataset
 from repro.federation.transcript import FederationTranscript
@@ -67,7 +67,6 @@ class TAPMechanism(FederatedMechanism):
         config: MechanismConfig,
         estimators: dict[str, PartyEstimator],
         transcript: FederationTranscript,
-        rng,
     ) -> dict[str, PartyRunRecord]:
         g = config.granularity
 
@@ -87,7 +86,3 @@ class TAPMechanism(FederatedMechanism):
             self._log_final_report(transcript, name, record.local_heavy_hitters, level=g)
             records[name] = record
         return records
-
-    def run(self, dataset: FederatedDataset, rng=None) -> MechanismResult:
-        """Run TAP on ``dataset`` and return the federated top-k result."""
-        return super().run(dataset, rng)

@@ -24,7 +24,7 @@ from repro.core.pruning import (
     population_confidence,
     select_pruning_candidates,
 )
-from repro.core.results import LevelEstimate, MechanismResult, PartyRunRecord
+from repro.core.results import LevelEstimate, PartyRunRecord
 from repro.core.shared_trie import construct_shared_trie
 from repro.datasets.base import FederatedDataset
 from repro.federation.grouping import split_off_fraction
@@ -126,7 +126,6 @@ class TAPSMechanism(FederatedMechanism):
         config: MechanismConfig,
         estimators: dict[str, PartyEstimator],
         transcript: FederationTranscript,
-        rng,
     ) -> dict[str, PartyRunRecord]:
         g = config.granularity
         total_population = dataset.total_users
@@ -246,7 +245,3 @@ class TAPSMechanism(FederatedMechanism):
         validation_domain = CandidateDomain(prefixes, include_dummy=True)
         outcome = estimator.estimate_on_users(user_indices, validation_domain)
         return dict(outcome.frequencies)
-
-    def run(self, dataset: FederatedDataset, rng=None) -> MechanismResult:
-        """Run TAPS on ``dataset`` and return the federated top-k result."""
-        return super().run(dataset, rng)

@@ -15,94 +15,57 @@ Every entry point takes an :class:`ExperimentSettings` so that the same code
 runs at smoke-test scale in CI and at larger scales offline.
 """
 
-from repro.experiments.runner import (
-    ExperimentSettings,
-    SMOKE_PRESET,
-    SweepCell,
-    SweepResult,
-    build_mechanism,
-    cell_seed,
-    evaluate_run,
-    iter_cells,
-    run_cell,
-    run_sweep,
-    MECHANISM_REGISTRY,
-)
-from repro.experiments.spec import (
-    LoadgenSpec,
-    SpecError,
-    SweepSpec,
-    load_loadgen_spec,
-    load_scenario_spec,
-    load_spec,
-    save_spec,
-)
-from repro.experiments.store import (
-    ScenarioSnapshotStore,
-    StoreError,
-    SweepCellStore,
-    cell_key,
-)
-from repro.experiments.figures import figure4, figure5, figure6, figure7
-from repro.experiments.tables import (
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-)
-from repro.experiments.reporting import render_records, records_to_table
-from repro.experiments.serialization import (
-    load_sweep,
-    records_from_json,
-    records_to_json,
-    save_result,
-    save_sweep,
-    summarize_result,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSettings",
-    "SMOKE_PRESET",
-    "ScenarioSnapshotStore",
-    "SpecError",
-    "StoreError",
-    "SweepCell",
-    "SweepCellStore",
-    "SweepResult",
-    "SweepSpec",
-    "cell_key",
-    "LoadgenSpec",
-    "load_loadgen_spec",
-    "load_scenario_spec",
-    "load_spec",
-    "save_spec",
-    "build_mechanism",
-    "cell_seed",
-    "evaluate_run",
-    "iter_cells",
-    "run_cell",
-    "run_sweep",
-    "MECHANISM_REGISTRY",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "render_records",
-    "records_to_table",
-    "load_sweep",
-    "records_from_json",
-    "records_to_json",
-    "save_result",
-    "save_sweep",
-    "summarize_result",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.runner": (
+            "ExperimentSettings",
+            "SMOKE_PRESET",
+            "SweepCell",
+            "SweepResult",
+            "build_mechanism",
+            "cell_seed",
+            "evaluate_run",
+            "iter_cells",
+            "run_cell",
+            "run_sweep",
+            "MECHANISM_REGISTRY",
+        ),
+        "repro.experiments.spec": (
+            "SpecError",
+            "SweepSpec",
+            "LoadgenSpec",
+            "load_loadgen_spec",
+            "load_scenario_spec",
+            "load_spec",
+            "save_spec",
+        ),
+        "repro.experiments.store": (
+            "ScenarioSnapshotStore",
+            "StoreError",
+            "SweepCellStore",
+            "cell_key",
+        ),
+        "repro.experiments.figures": ("figure4", "figure5", "figure6", "figure7"),
+        "repro.experiments.tables": (
+            "table2",
+            "table3",
+            "table4",
+            "table5",
+            "table6",
+            "table7",
+            "table8",
+        ),
+        "repro.experiments.reporting": ("render_records", "records_to_table"),
+        "repro.experiments.serialization": (
+            "load_sweep",
+            "records_from_json",
+            "records_to_json",
+            "save_result",
+            "save_sweep",
+            "summarize_result",
+        ),
+    },
+)

@@ -53,7 +53,7 @@ class KRandomizedResponse(FrequencyOracle):
             # Only copy on dtype mismatch: wire decodes arrive as the
             # smallest unsigned dtype and bincount takes them as-is.
             reports = reports.astype(np.int64)
-        return np.bincount(reports, minlength=domain_size).astype(np.int64)
+        return np.bincount(reports, minlength=domain_size).astype(np.int64, copy=False)
 
     def sample_support_counts(
         self, true_counts: np.ndarray, rng: RandomState = None

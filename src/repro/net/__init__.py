@@ -30,59 +30,35 @@ estimates and exact wire-bit totals — to
 transport, never semantics.
 """
 
-from repro.net.client import (
-    GatewayConnection,
-    parse_address,
-    run_over_network,
-)
-from repro.net.framing import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FRAME_BROADCAST_REQUEST,
-    FRAME_ERROR,
-    FRAME_REPORT_BATCH,
-    FRAME_ROUND_CONTROL,
-    FRAME_STATS,
-    Frame,
-    FrameError,
-    OversizeFrameError,
-    decode_metrics_frame,
-    encode_frame,
-    encode_metrics_frame,
-    error_to_exception,
-    exception_to_error,
-    split_frame_kind,
-)
-from repro.net.gateway import (
-    AggregationGateway,
-    GatewayHandle,
-    run_gateway_forever,
-    start_gateway,
-)
-from repro.net.loadgen import LoadgenReport, run_loadgen
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregationGateway",
-    "DEFAULT_MAX_FRAME_BYTES",
-    "FRAME_BROADCAST_REQUEST",
-    "FRAME_ERROR",
-    "FRAME_REPORT_BATCH",
-    "FRAME_ROUND_CONTROL",
-    "FRAME_STATS",
-    "Frame",
-    "FrameError",
-    "GatewayConnection",
-    "GatewayHandle",
-    "LoadgenReport",
-    "OversizeFrameError",
-    "decode_metrics_frame",
-    "encode_frame",
-    "encode_metrics_frame",
-    "error_to_exception",
-    "exception_to_error",
-    "parse_address",
-    "split_frame_kind",
-    "run_gateway_forever",
-    "run_loadgen",
-    "run_over_network",
-    "start_gateway",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.net.client": ("GatewayConnection", "parse_address", "run_over_network"),
+        "repro.net.framing": (
+            "DEFAULT_MAX_FRAME_BYTES",
+            "FRAME_BROADCAST_REQUEST",
+            "FRAME_ERROR",
+            "FRAME_REPORT_BATCH",
+            "FRAME_ROUND_CONTROL",
+            "FRAME_STATS",
+            "Frame",
+            "FrameError",
+            "OversizeFrameError",
+            "decode_metrics_frame",
+            "encode_frame",
+            "encode_metrics_frame",
+            "error_to_exception",
+            "exception_to_error",
+            "split_frame_kind",
+        ),
+        "repro.net.gateway": (
+            "AggregationGateway",
+            "GatewayHandle",
+            "run_gateway_forever",
+            "start_gateway",
+        ),
+        "repro.net.loadgen": ("LoadgenReport", "run_loadgen"),
+    },
+)

@@ -198,15 +198,20 @@ def encode_report_frame(round_id: int, seq: int, payload: bytes) -> bytes:
     return _BATCH_PREFIX.pack(round_id, seq) + payload
 
 
-def decode_report_frame(body: bytes) -> tuple[int, int, bytes]:
-    """``(round_id, seq, payload)`` of a report-batch frame body."""
+def decode_report_frame(body: bytes) -> tuple[int, int, memoryview]:
+    """``(round_id, seq, payload)`` of a report-batch frame body.
+
+    The payload is a view of ``body``, not a copy: a report batch can be
+    past glibc's mmap threshold, and every copy would be one more large
+    allocation per batch (docs/architecture.md, "Cold start").
+    """
     if len(body) < _BATCH_PREFIX.size:
         raise FrameError(
             f"report frame body is {len(body)} bytes, needs at least "
             f"{_BATCH_PREFIX.size}"
         )
     round_id, seq = _BATCH_PREFIX.unpack_from(body)
-    return int(round_id), int(seq), body[_BATCH_PREFIX.size :]
+    return int(round_id), int(seq), memoryview(body)[_BATCH_PREFIX.size :]
 
 
 # --------------------------------------------------------------------------- #
@@ -292,14 +297,13 @@ def decode_error(body: bytes) -> Exception:
 # --------------------------------------------------------------------------- #
 # Shard-state frames (lossless ExportedShardState)
 # --------------------------------------------------------------------------- #
-def encode_shard_state(state: ExportedShardState) -> bytes:
-    """Serialise one shard's exported round state without losing a bit.
+def _split_shard_state(state: ExportedShardState) -> tuple[bytes, np.ndarray]:
+    """The shard-state encoding cut before its counts.
 
-    Scalar round metadata travels as a canonical JSON header, the exact
-    support counts as a raw little-endian ``int64`` buffer.  Counts are
-    integers (never estimates), so merging decoded states on the client
-    is exact — the property every networked bit-identity invariant
-    rests on.
+    Returns the magic, the header length and the canonical JSON header as
+    one ``bytes``, and the counts as a contiguous little-endian ``int64``
+    array, so a caller can send them without joining (and so copying)
+    the ``O(domain_size)`` counts.
     """
     header = json.dumps(
         {
@@ -322,14 +326,20 @@ def encode_shard_state(state: ExportedShardState) -> bytes:
         raise FrameError(
             f"shard-state counts must have shape ({d},), got {counts.shape}"
         )
-    return b"".join(
-        (
-            _SHARD_STATE_MAGIC,
-            _U32.pack(len(header)),
-            header,
-            counts.tobytes(),
-        )
-    )
+    return _SHARD_STATE_MAGIC + _U32.pack(len(header)) + header, counts
+
+
+def encode_shard_state(state: ExportedShardState) -> bytes:
+    """Serialise one shard's exported round state without losing a bit.
+
+    Scalar round metadata travels as a canonical JSON header, the exact
+    support counts as a raw little-endian ``int64`` buffer.  Counts are
+    integers (never estimates), so merging decoded states on the client
+    is exact — the property every networked bit-identity invariant
+    rests on.
+    """
+    head, counts = _split_shard_state(state)
+    return head + counts.tobytes()
 
 
 def decode_shard_state(data: bytes) -> ExportedShardState:
@@ -382,6 +392,25 @@ def decode_shard_state(data: bytes) -> ExportedShardState:
 def encode_shard_state_frame(round_id: int, state: ExportedShardState) -> bytes:
     """Body of a ``FRAME_SHARD_STATE``: the round id plus the encoded state."""
     return _U32.pack(round_id) + encode_shard_state(state)
+
+
+def shard_state_frame_buffers(
+    round_id: int, state: ExportedShardState
+) -> tuple[bytes, memoryview]:
+    """A whole shard-state frame as two buffers that share the counts.
+
+    Written in turn, they are the bytes of ``encode_frame(FRAME_SHARD_STATE,
+    encode_shard_state_frame(round_id, state))``: the frame header, round
+    id and state header, then a byte view of the counts themselves.  This
+    is how a gateway answers every round close.  Joining them would copy
+    the counts (131 KB at level 14) once per join, and a copy past
+    glibc's mmap threshold can map or fault in fresh pages: a gateway
+    that copied them four times took 128 minor faults per round.
+    """
+    head, counts = _split_shard_state(state)
+    prefix = _U32.pack(round_id) + head
+    frame_header = _HEADER.pack(len(prefix) + counts.nbytes, FRAME_SHARD_STATE)
+    return frame_header + prefix, memoryview(counts).cast("B")
 
 
 def decode_shard_state_frame(body: bytes) -> tuple[int, ExportedShardState]:

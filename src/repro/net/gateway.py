@@ -82,6 +82,15 @@ PROTOCOL_VERSION = 2
 
 DEFAULT_CONNECTION_CREDITS = 32
 
+#: Largest ``recv`` of a connection.  asyncio's selector transport
+#: allocates its full read size (256 KiB by default) for every ``recv``.
+#: Above glibc's mmap threshold (128 KiB until a larger mapping is freed)
+#: that is a fresh mapping per read, faulted in and unmapped again: 37–52
+#: minor faults and ~25% more gateway CPU per 131 KB OUE batch.  Reads
+#: under the threshold stay on the heap (docs/architecture.md, "Cold
+#: start").
+RECV_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class _WireDomain:
@@ -130,7 +139,12 @@ class _Connection:
     on_error: object = None  # callable(exc) counting errors by code
 
     async def send(self, kind: int, body: bytes) -> None:
-        self.writer.write(framing.encode_frame(kind, body))
+        await self.send_buffers((framing.encode_frame(kind, body),))
+
+    async def send_buffers(self, buffers) -> None:
+        """Write one frame already cut into buffers, without joining them."""
+        for buffer in buffers:
+            self.writer.write(buffer)
         await self.writer.drain()
 
     async def send_control(self, message: dict) -> None:
@@ -296,6 +310,7 @@ class AggregationGateway:
         self.n_connections_total += 1
         self._m_connections_total.inc()
         self._m_connections_live.inc()
+        writer.transport.max_size = RECV_BYTES
         state = _Connection(writer=writer, on_error=self._count_error)
         try:
             await state.send_control(
@@ -501,9 +516,8 @@ class AggregationGateway:
                 exported = self.server.export_shard(round_id)
                 self.server.drain_messages()
                 self._m_shards_exported.inc()
-                await state.send(
-                    framing.FRAME_SHARD_STATE,
-                    framing.encode_shard_state_frame(round_id, exported),
+                await state.send_buffers(
+                    framing.shard_state_frame_buffers(round_id, exported)
                 )
                 return True
             if op == "metrics":

@@ -27,53 +27,33 @@ Determinism contract: for a fixed seed, a service run is bit-identical to the in
 (``tests/test_service_equivalence.py``).
 """
 
-from repro.service.clients import ClientPool, iter_perturbed_batches
-from repro.service.harness import RoundReport, ServeReport, serve_dataset
-from repro.service.protocol import (
-    REPORT_CODECS,
-    ReportBatch,
-    RoundBroadcast,
-    WireFormatError,
-    decode_broadcast,
-    decode_report_batch,
-    encode_broadcast,
-    encode_report_batch,
-    wire_bits,
-)
-from repro.service.server import (
-    SERVICE_ERROR_CODES,
-    AggregationServer,
-    ServiceError,
-    ServiceRound,
-    ServiceRoundRunner,
-    run_in_service_mode,
-)
-from repro.service.shards import LevelShard, ShardError
-from repro.service.streaming import SlidingWindowDiscovery, WindowSnapshot
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SERVICE_ERROR_CODES",
-    "AggregationServer",
-    "ClientPool",
-    "LevelShard",
-    "REPORT_CODECS",
-    "ReportBatch",
-    "RoundBroadcast",
-    "RoundReport",
-    "ServeReport",
-    "ServiceError",
-    "ServiceRound",
-    "ServiceRoundRunner",
-    "ShardError",
-    "SlidingWindowDiscovery",
-    "WindowSnapshot",
-    "WireFormatError",
-    "decode_broadcast",
-    "decode_report_batch",
-    "encode_broadcast",
-    "encode_report_batch",
-    "iter_perturbed_batches",
-    "run_in_service_mode",
-    "serve_dataset",
-    "wire_bits",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.clients": ("ClientPool", "iter_perturbed_batches"),
+        "repro.service.harness": ("RoundReport", "ServeReport", "serve_dataset"),
+        "repro.service.protocol": (
+            "REPORT_CODECS",
+            "ReportBatch",
+            "RoundBroadcast",
+            "WireFormatError",
+            "decode_broadcast",
+            "decode_report_batch",
+            "encode_broadcast",
+            "encode_report_batch",
+            "wire_bits",
+        ),
+        "repro.service.server": (
+            "SERVICE_ERROR_CODES",
+            "AggregationServer",
+            "ServiceError",
+            "ServiceRound",
+            "ServiceRoundRunner",
+            "run_in_service_mode",
+        ),
+        "repro.service.shards": ("LevelShard", "ShardError"),
+        "repro.service.streaming": ("SlidingWindowDiscovery", "WindowSnapshot"),
+    },
+)

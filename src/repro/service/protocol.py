@@ -143,7 +143,7 @@ def _unpack_str(buffer: bytes, offset: int) -> tuple[str, int]:
         raise WireFormatError(
             f"string of {length} bytes overruns the {len(buffer)}-byte buffer"
         )
-    return buffer[offset : offset + length].decode("utf-8"), offset + length
+    return str(buffer[offset : offset + length], "utf-8"), offset + length
 
 
 def _uint_dtype(max_value: int) -> np.dtype:

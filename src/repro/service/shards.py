@@ -82,7 +82,9 @@ class LevelShard:
         if self._sources is not None:
             # ``support_counts`` returns a fresh vector: nothing aliases it.
             self._sources.append((counts, n))
-        self.counts = self.oracle.merge_counts(self.counts, counts)
+        # In place: a fresh sum per batch is one more O(domain_size)
+        # allocation per round (docs/architecture.md, "Cold start").
+        self.counts += counts
         self.n_users += n
         self.n_batches += 1
         return n

@@ -11,7 +11,11 @@ indistinguishable from an in-process ``AggregationServer``:
   ``ClusterConnection.finalize`` (through ``ClusterCoordinator``);
 * in how a bad batch is refused: the exception type and structured code,
   for every header mismatch, an unusable ε, a closed or unknown round
-  and a corrupt payload.
+  and a corrupt payload;
+* in the bytes of its round close: the shard-state frame a gateway
+  writes without copying the counts is, byte for byte, the codec's
+  ``encode_frame(FRAME_SHARD_STATE, encode_shard_state_frame(...))`` of
+  the in-process server's export.
 
 CI runs this module as its own smoke step: a kernel regression that
 breaks bit-identity fails here first, with the oracle named.
@@ -26,7 +30,7 @@ import pytest
 
 from repro.cluster import ClusterCoordinator
 from repro.ldp import available_oracles, make_oracle
-from repro.net import GatewayConnection, start_gateway
+from repro.net import GatewayConnection, framing, start_gateway
 from repro.service.clients import ClientPool, iter_perturbed_batches
 from repro.service.protocol import (
     RoundBroadcast,
@@ -230,3 +234,60 @@ def test_gateway_refuses_a_bad_batch_like_the_in_process_server(gateway, case):
     assert getattr(local.value, "code", None) == expected_code
     assert type(remote.value) is type(local.value)
     assert getattr(remote.value, "code", None) == getattr(local.value, "code", None)
+
+
+# --------------------------------------------------------------------------- #
+# Live gateway ≡ the shard-state codec, in the bytes of a round close
+# --------------------------------------------------------------------------- #
+#: Level 14: 16,385 int64 counts, 131,080 B, past glibc's 128 KiB mmap
+#: threshold (the size the gateway's copy-free close exists for).
+CLOSE_LEVEL = 14
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_gateway_close_writes_the_codec_bytes(gateway, traced):
+    oracle = make_oracle(ROUND_ORACLE, epsilon=ROUND_EPSILON)
+    domain = CandidateDomain.full_domain(CLOSE_LEVEL, include_dummy=True)
+    items = np.random.default_rng(3).integers(0, 1 << CLOSE_LEVEL, size=5_000)
+    payloads = [
+        encode_report_batch(batch)
+        for batch in ClientPool(items, name="party-a", batch_size=1_000)
+        .iter_report_batches(oracle, domain, CLOSE_LEVEL, rng=11)
+    ]
+
+    server = AggregationServer()
+    local_id = server.open_round(
+        party="party-a", level=CLOSE_LEVEL, oracle=oracle, domain=domain
+    )
+    for payload in payloads:
+        server.ingest(local_id, payload)
+    state = server.export_shard(local_id)
+
+    with GatewayConnection(gateway.address) as connection:
+        round_id, _ = connection.open_round(
+            RoundBroadcast(
+                party="party-a",
+                level=CLOSE_LEVEL,
+                oracle_name=oracle.name,
+                epsilon=oracle.epsilon,
+                domain_size=domain.size,
+                prefixes=tuple(domain.prefixes),
+            )
+        )
+        for payload in payloads:
+            connection.send_batch(round_id, payload)
+        connection.drain()
+        connection._send(
+            framing.FRAME_ROUND_CONTROL,
+            framing.encode_control({"op": "export_shard", "round_id": round_id}),
+            trace=bytes(range(framing.TRACE_CONTEXT_SIZE)) if traced else None,
+        )
+        header = connection._read_exact(framing.FRAME_HEADER_SIZE)
+        length, _ = framing.parse_frame_header(header)
+        sent = header + connection._read_exact(length)
+
+    assert state.counts.nbytes > 128 * 1024
+    expected = framing.encode_frame(
+        framing.FRAME_SHARD_STATE, framing.encode_shard_state_frame(round_id, state)
+    )
+    assert sent == expected

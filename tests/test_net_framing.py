@@ -61,6 +61,8 @@ class TestBodyCodecs:
     def test_report_frame_round_trip(self):
         body = framing.encode_report_frame(7, 123, b"RPB1...")
         assert framing.decode_report_frame(body) == (7, 123, b"RPB1...")
+        # The payload is a view of the frame body, never a copy.
+        assert framing.decode_report_frame(body)[2].obj is body
 
     def test_report_frame_too_short(self):
         with pytest.raises(FrameError, match="at least"):
@@ -152,6 +154,17 @@ class TestShardStateCodec:
         body = framing.encode_shard_state_frame(23, _shard_state())
         round_id, decoded = framing.decode_shard_state_frame(body)
         assert round_id == 23 and decoded.n_users == 321
+
+    def test_frame_buffers_are_the_encoded_frame(self):
+        state = _shard_state()
+        head, counts = framing.shard_state_frame_buffers(23, state)
+        expected = framing.encode_frame(
+            framing.FRAME_SHARD_STATE, framing.encode_shard_state_frame(23, state)
+        )
+        assert head + bytes(counts) == expected
+        # The counts travel as a byte view of the exported array, not a copy.
+        assert counts.format == "B" and counts.nbytes == state.counts.nbytes
+        assert counts.obj is state.counts
 
     def test_counts_shape_must_match_domain(self):
         state = _shard_state()

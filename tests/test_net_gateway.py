@@ -146,6 +146,28 @@ class TestRoundsOverTheWire:
         assert stats["credits_per_connection"] == connection.credits
 
 
+class TestReadPath:
+    def test_connections_receive_under_the_mmap_threshold(self, monkeypatch):
+        """Each recv stays under glibc's initial 128 KiB mmap threshold."""
+        from repro.net import gateway as gateway_module
+
+        transports = []
+        handle_connection = gateway_module.AggregationGateway._handle_connection
+
+        async def spy(self, reader, writer):
+            transports.append(writer.transport)
+            await handle_connection(self, reader, writer)
+
+        monkeypatch.setattr(
+            gateway_module.AggregationGateway, "_handle_connection", spy
+        )
+        with start_gateway() as handle:
+            # The welcome is sent after the bound is set.
+            with GatewayConnection(handle.address):
+                assert [t.max_size for t in transports] == [gateway_module.RECV_BYTES]
+        assert gateway_module.RECV_BYTES < 128 * 1024
+
+
 class TestStructuredErrors:
     def test_unknown_round_code_crosses_the_wire(self, gateway):
         with GatewayConnection(gateway.address) as connection:
