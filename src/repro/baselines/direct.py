@@ -12,7 +12,6 @@ empirical run to calibrate the per-operation constant.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -114,14 +113,3 @@ class DirectUploadCostModel:
         model = DirectUploadCostModel(oracle="oue", epsilon=4.0)
         return model.costs(5_000_000, 2_000_000)
 
-
-def infeasibility_summary(
-    dataset: FederatedDataset, epsilon: float
-) -> dict[str, DirectUploadCosts]:
-    """Costs of direct OUE and OLH upload for ``dataset`` (Table 4's last columns)."""
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    return {
-        oracle: DirectUploadCostModel(oracle, epsilon).costs_for_dataset(dataset)
-        for oracle in ("oue", "olh")
-    }

@@ -232,62 +232,18 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
     return parser
 
 
-#: JSON-lines store headers the record loader understands.
-_STORE_KINDS = ("repro-sweep-cells", "repro-scenario-snapshots")
-
-
-def _records_from_store(path: Path, text: str) -> list[dict]:
-    """Records from a JSON-lines store (sweep cells / scenario snapshots).
-
-    Snapshot stores are parsed by their own loader
-    (:meth:`~repro.experiments.store.ScenarioSnapshotStore.load`); the
-    cell-store branch mirrors its semantics — tolerate a partial trailing
-    line (the footprint of a mid-write kill), raise on corruption
-    anywhere earlier — without opening the store for append (re-rendering
-    must never mutate the file).
-    """
-    from repro.experiments.store import (
-        SNAPSHOT_STORE_KIND,
-        ScenarioSnapshotStore,
-        StoreError,
-    )
-
-    lines = text.splitlines()
-    try:
-        header = json.loads(lines[0]) if lines else None
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or header.get("kind") not in _STORE_KINDS:
-        raise CLIError(
-            f"{path} holds neither a JSON record array, a document with a "
-            "'records' array, nor a known JSON-lines run store"
-        )
-    if header.get("kind") == SNAPSHOT_STORE_KIND:
-        try:
-            return ScenarioSnapshotStore.load(path)
-        except StoreError as exc:
-            raise CLIError(str(exc)) from exc
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(dict(json.loads(line)["record"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if lineno == len(lines):
-                break
-            raise CLIError(f"{path}:{lineno}: corrupt store entry") from exc
-    return records
-
-
 def load_records(path: str | Path) -> list[dict]:
     """Records from any persisted artifact.
 
     Understands bench/sweep JSON documents (a ``records`` array), raw
     JSON record arrays, and the JSON-lines run stores (``cells.jsonl``
     written by ``repro sweep``, snapshot stores written by
-    ``repro serve --scenario --store``).
+    ``repro serve --scenario --store``), read by
+    :func:`~repro.experiments.store.read_store`, which never opens a store
+    for writing: re-rendering must not mutate the file.
     """
+    from repro.experiments.store import StoreError, read_store
+
     path = Path(path)
     if not path.exists():
         raise CLIError(f"records file {path} does not exist")
@@ -295,17 +251,18 @@ def load_records(path: str | Path) -> list[dict]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        return _records_from_store(path, text)
+        data = None
     if isinstance(data, list):
         return [dict(r) for r in data]
     if isinstance(data, dict) and isinstance(data.get("records"), list):
         return [dict(r) for r in data["records"]]
-    if isinstance(data, dict) and data.get("kind") in _STORE_KINDS:
-        return []  # a store holding its header only: valid, no records yet
-    raise CLIError(
-        f"{path} holds neither a JSON record array nor a document with a "
-        "'records' array"
-    )
+    try:
+        return read_store(path).entries
+    except StoreError as exc:
+        raise CLIError(
+            f"{path} holds neither a JSON record array, a document with a "
+            f"'records' array, nor a readable JSON-lines run store ({exc})"
+        ) from exc
 
 
 def cmd(args: argparse.Namespace) -> int:

@@ -13,21 +13,22 @@ address is a one-shard cluster.  Two layers:
   the logical round, then merge the exact int64 counts and estimate
   **once** via :func:`~repro.service.server.estimate_exported`.
 * :class:`ClusterCoordinator` — the aggregation-server protocol
-  (``open_round`` / ``ingest_batch`` / ``finalize_round`` /
-  ``drain_messages`` / ``shutdown``) over a :class:`ClusterConnection`,
-  with the exact wire-bit message log kept client-side, so
+  (``open_round`` / ``ingest`` / ``finalize_round`` / ``shutdown``) over
+  an open :class:`ClusterConnection`, so
   :class:`~repro.service.server.ServiceRoundRunner` and every mechanism
   run over one gateway or N shards unchanged.
 
-**Bit-identity.**  The accounting is *logical*, exactly like PR 5 treated
-frame headers as pure transport: the coordinator logs **one**
-``service_round_open`` message at the canonical broadcast encoding's bits
-even though N physical broadcasts go out (shard fan-out is transport, not
-protocol), and every report batch is logged at its exact canonical wire
-bits on whichever shard it lands.  The codecs are canonical, so the
-client can log without trusting the network: the bytes it sends are the
-bytes the gateways account, and :meth:`ClusterConnection.open_round`
-checks every shard's broadcast accounting against the canonical size.
+**Bit-identity.**  The accounting is *logical*, with frame headers pure
+transport: a round is **one** ``service_round_open`` message at the
+canonical broadcast encoding's bits even though N physical broadcasts go
+out (shard fan-out is transport, not protocol), and every report batch
+counts its exact canonical wire bits on whichever shard it lands.  The
+round runner logs those messages client-side; the codecs are canonical,
+so it can log without trusting the network: the bytes it sends are the
+bytes the gateways account, :meth:`ClusterConnection.open_round` checks
+every shard's broadcast accounting against the canonical size, and the
+finalize barrier checks the shards' batch and bit totals against what
+this connection sent.
 Because the merge algebra is associative/commutative and exact over int64
 counts, and because the estimate is produced by the same
 ``finalize_estimate`` call over the same merged inputs, a fixed-seed run
@@ -53,18 +54,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster.ring import HashRing
-from repro.federation.messages import Message, MessageDirection
 from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.net.client import GatewayConnection, parse_cluster_addresses
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
-from repro.service.protocol import (
-    ReportBatch,
-    RoundBroadcast,
-    decode_report_batch,
-    encode_broadcast,
-    encode_report_batch,
-    wire_bits,
-)
+from repro.service.protocol import RoundBroadcast, encode_broadcast, wire_bits
 from repro.service.server import ExportedShardState, ServiceError, estimate_exported
 
 __all__ = ["ClusterConnection", "ClusterCoordinator", "parse_cluster_addresses"]
@@ -469,43 +462,29 @@ class ClusterConnection:
 class ClusterCoordinator:
     """An :class:`~repro.service.server.AggregationServer` living elsewhere.
 
-    The slice of the server interface the service round runner and the
-    mechanism base class use, executing each round over a
-    :class:`ClusterConnection` to ``addresses`` — one gateway or N
-    shards.  The connection opens on the first round.  The wire-bit message log is kept client-side, operation for operation
-    like the in-memory server's — same kinds, same order, same exact bit
-    counts — which is what makes a networked mechanism run
-    transcript-identical to service mode.  ``config.gateway`` in network
-    mode is what hands a mechanism one of these
-    (:meth:`repro.core.base.FederatedMechanism._make_round_runner`).
+    The server protocol (``open_round`` / ``ingest`` / ``finalize_round``
+    / ``shutdown``) over an open :class:`ClusterConnection` — one gateway
+    or N shards — so :class:`~repro.service.server.ServiceRoundRunner`
+    streams a networked round exactly as it streams an in-process one,
+    and logs the same transcript.  ``config.gateway`` in network mode is
+    what hands a mechanism one of these
+    (:meth:`repro.core.base.FederatedMechanism._make_round_runner`); the
+    load generator wraps its own instrumented connection.
     """
 
-    def __init__(self, addresses, *, timeout: float = 60.0):
-        self.addresses = parse_cluster_addresses(addresses)
-        self.timeout = float(timeout)
-        self._connection: ClusterConnection | None = None
-        self._messages: list[Message] = []
-        self._upload_bits = 0
-        self._broadcast_bits = 0
+    def __init__(self, connection: ClusterConnection):
+        self.connection = connection
 
-    def _conn(self) -> ClusterConnection:
-        if self._connection is None:
-            self._connection = ClusterConnection(self.addresses, timeout=self.timeout)
-        return self._connection
-
-    # ------------------------------------------------------------------ #
-    # Round lifecycle (the AggregationServer slice ServiceRoundRunner uses)
-    # ------------------------------------------------------------------ #
     def open_round(
         self, *, party: str, level: int, oracle: FrequencyOracle, domain
     ) -> int:
-        """Open a round on every shard; log one canonical broadcast.
+        """Open a round on every shard.
 
-        :meth:`ClusterConnection.open_round` has already checked every
-        shard's accounting of the broadcast against the canonical bits
-        it returns (``shard_mismatch`` otherwise).
+        :meth:`ClusterConnection.open_round` checks every shard's
+        accounting of the broadcast against the canonical bits
+        (``shard_mismatch`` otherwise).
         """
-        round_id, bits = self._conn().open_round(
+        round_id, _ = self.connection.open_round(
             RoundBroadcast(
                 party=party,
                 level=int(level),
@@ -515,76 +494,21 @@ class ClusterCoordinator:
                 prefixes=tuple(domain.prefixes),
             )
         )
-        self._broadcast_bits += bits
-        self._messages.append(
-            Message(
-                direction=MessageDirection.SERVER_TO_PARTY,
-                party=party,
-                kind="service_round_open",
-                payload_bits=bits,
-                level=int(level),
-            )
-        )
         return round_id
 
-    def ingest(self, round_id: int, payload: bytes) -> int:
-        """Pipeline one already-encoded wire batch into a remote round.
+    def ingest(self, round_id: int, payload: bytes) -> None:
+        """Pipeline one encoded wire batch into a remote round.
 
-        Mirrors :meth:`AggregationServer.ingest`, decoding the payload
-        locally so the message log carries the same party/level the
-        in-memory server would have recorded.
+        Batches are fire-and-forget up to the credit budget, which keeps
+        upload throughput off the round-trip time: the ack, and with it
+        any structured server error, surfaces at the latest on
+        :meth:`finalize_round`.
         """
-        return self._send_payload(round_id, decode_report_batch(payload), payload)
-
-    def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
-        """Encode one batch, pipeline it, and log it exactly like the server.
-
-        The ack (and with it any structured server error) surfaces at the
-        latest on :meth:`finalize_round` — batches are fire-and-forget up
-        to the credit budget, which is what keeps upload throughput off
-        the round-trip time.
-        """
-        return self._send_payload(round_id, batch, encode_report_batch(batch))
-
-    def _send_payload(self, round_id: int, batch: ReportBatch, payload: bytes) -> int:
-        bits = wire_bits(payload)
-        self._conn().send_batch(round_id, payload)
-        self._upload_bits += bits
-        self._messages.append(
-            Message(
-                direction=MessageDirection.PARTY_TO_SERVER,
-                party=batch.party,
-                kind="report_batch",
-                payload_bits=bits,
-                level=batch.level,
-            )
-        )
-        return batch.n_users
+        self.connection.send_batch(round_id, payload)
 
     def finalize_round(self, round_id: int) -> EstimationResult:
-        return self._conn().finalize(round_id)
-
-    # ------------------------------------------------------------------ #
-    # Accounting (client-side mirror of the in-memory server's)
-    # ------------------------------------------------------------------ #
-    @property
-    def messages(self) -> list[Message]:
-        return list(self._messages)
-
-    def drain_messages(self) -> list[Message]:
-        messages, self._messages = self._messages, []
-        return messages
-
-    def upload_bits(self) -> int:
-        return self._upload_bits
-
-    def broadcast_bits(self) -> int:
-        return self._broadcast_bits
+        return self.connection.finalize(round_id)
 
     def shutdown(self) -> None:
         """Close this client's connections (the gateways keep serving)."""
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            finally:
-                self._connection = None
+        self.connection.close()

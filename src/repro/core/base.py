@@ -52,33 +52,38 @@ class FederatedMechanism(abc.ABC):
         # single batch before anything runs, so party i's randomness is a
         # function of its position alone — never of the order parties run in.
         party_seeds = spawn_seeds(gen, dataset.n_parties)
-        service_mode = config.execution_mode in ("service", "network")
-        estimators = {
-            party.name: PartyEstimator(
-                party,
-                config,
-                oracle,
-                np.random.default_rng(seed),
-                PrivacyAccountant(epsilon=config.epsilon),
-                round_runner=self._make_round_runner(config, party.name),
-            )
-            for party, seed in zip(dataset.parties, party_seeds)
-        }
-
-        party_records = self._execute(dataset, config, estimators, transcript)
+        runners = []
+        try:
+            for party in dataset.parties:
+                runners.append(self._make_round_runner(config, party.name))
+            estimators = {
+                party.name: PartyEstimator(
+                    party,
+                    config,
+                    oracle,
+                    np.random.default_rng(seed),
+                    PrivacyAccountant(epsilon=config.epsilon),
+                    round_runner=runner,
+                )
+                for party, seed, runner in zip(dataset.parties, party_seeds, runners)
+            }
+            party_records = self._execute(dataset, config, estimators, transcript)
+            # Service mode: fold each party's exact wire accounting into
+            # the transcript, in deterministic party order.
+            for runner in runners:
+                if runner is not None:
+                    transcript.extend(runner.drain_messages())
+        finally:
+            # Every server that was built is shut down, also when a round
+            # fails: a network run must not leave its connections open.
+            for runner in runners:
+                if runner is not None:
+                    runner.server.shutdown()
 
         # Merge per-party privacy accounting in deterministic party order.
         accountant = PrivacyAccountant(epsilon=config.epsilon)
         for name in estimators:
             accountant.merge(estimators[name].accountant)
-
-        # Service mode: fold each party's exact wire accounting into the
-        # transcript, in deterministic party order.
-        if service_mode:
-            for name in estimators:
-                server = estimators[name].round_runner.server
-                transcript.extend(server.drain_messages())
-                server.shutdown()
 
         reports = {
             name: record.local_heavy_hitters for name, record in party_records.items()
@@ -102,22 +107,23 @@ class FederatedMechanism(abc.ABC):
         """The per-party round runner for the configured execution mode.
 
         ``None`` keeps the estimator's in-memory default; service mode
-        gives every party its own aggregation server, whose message log
-        :meth:`run` folds into the transcript in party order.  Network
-        mode swaps the local server for a
-        :class:`~repro.cluster.coordinator.ClusterCoordinator`
-        speaking to ``config.gateway`` — one gateway, or a comma-separated
-        list of shard gateways; a single gateway is a one-shard cluster
-        and nothing downstream can tell the shard count (the cluster's
-        bit-identity contract).  One connection per party, opened lazily.
+        gives every party its own aggregation server, and the runner's
+        message log is what :meth:`run` folds into the transcript in party
+        order.  Network mode swaps the local server for a
+        :class:`~repro.cluster.coordinator.ClusterCoordinator` over a
+        connection to ``config.gateway`` — one gateway, or a
+        comma-separated list of shard gateways; a single gateway is a
+        one-shard cluster and nothing downstream can tell the shard count
+        (the cluster's bit-identity contract).  One connection per party,
+        opened here.
         """
         if config.execution_mode == "network":
             # Local import: the core layer must not require the network
             # runtime unless a run actually asks for it.
-            from repro.cluster.coordinator import ClusterCoordinator
+            from repro.cluster.coordinator import ClusterConnection, ClusterCoordinator
 
             return ServiceRoundRunner(
-                server=ClusterCoordinator(config.gateway),
+                server=ClusterCoordinator(ClusterConnection(config.gateway)),
                 party=party_name,
                 batch_size=config.effective_report_batch_size,
             )

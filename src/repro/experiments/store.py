@@ -26,6 +26,7 @@ recomputed, and subsequent appends start cleanly on their own line.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.experiments.runner import SweepCell
@@ -57,6 +58,81 @@ def cell_key(cell: SweepCell) -> CellKey:
 def _key_from_json(raw) -> CellKey:
     dataset, mechanism, epsilon, k, repetition, seed = raw
     return (str(dataset), str(mechanism), float(epsilon), int(k), int(repetition), int(seed))
+
+
+#: Header sentinel of a scenario snapshot store.
+SNAPSHOT_STORE_KIND = "repro-scenario-snapshots"
+SNAPSHOT_STORE_VERSION = 1
+
+#: What each JSON-lines store kind is called in error messages.
+_STORE_NAMES = {
+    STORE_KIND: "sweep cell store",
+    SNAPSHOT_STORE_KIND: "scenario snapshot store",
+}
+
+
+@dataclass(frozen=True)
+class StoreContents:
+    """A JSON-lines store as :func:`read_store` found it on disk."""
+
+    header: dict
+    #: ``parse(entry)`` of every intact entry line, in file order.
+    entries: list
+    #: Byte length of the header plus every intact entry line: where a
+    #: partial or unparsable last line starts, or the file's size.
+    valid_bytes: int
+
+
+def _entry_record(entry) -> dict:
+    return dict(entry["record"])
+
+
+def read_store(
+    path: str | Path,
+    *,
+    kinds: tuple[str, ...] = tuple(_STORE_NAMES),
+    parse=_entry_record,
+) -> StoreContents:
+    """Read a JSON-lines store (either kind) without opening it for writing.
+
+    Line 1 is the header, whose ``kind`` must be one of ``kinds``; every
+    further non-blank line is one JSON entry, turned into ``parse(entry)``
+    (default: its ``record``).  Only newline-terminated lines count: an
+    unterminated tail, or a final line that does not parse — the footprint
+    of a mid-write kill — is dropped, and corruption on any earlier line
+    raises :class:`StoreError`.
+
+    Reads bytes and splits on ``\\n`` only (stores are written with
+    ``newline="\\n"`` on every platform), so ``valid_bytes`` is an exact
+    on-disk offset: universal-newline translation would silently shift it.
+    """
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8")
+    complete = text[: text.rfind("\n") + 1]
+    lines = complete.split("\n")[:-1] if complete else []
+    if not lines:
+        raise StoreError(f"{path}: unreadable store header (incomplete write)")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise StoreError(f"{path}: unreadable store header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("kind") not in kinds:
+        raise StoreError(
+            f"{path} is not a {' or '.join(_STORE_NAMES[kind] for kind in kinds)} "
+            f"(missing {' or '.join(repr(kind) for kind in kinds)} header)"
+        )
+    entries = []
+    keep_chars = len(lines[0]) + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            try:
+                entries.append(parse(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                if lineno == len(lines):
+                    break  # mid-write kill: drop the fragment
+                raise StoreError(f"{path}:{lineno}: corrupt store entry")
+        keep_chars += len(line) + 1
+    return StoreContents(header, entries, len(complete[:keep_chars].encode("utf-8")))
 
 
 class SweepCellStore:
@@ -121,36 +197,18 @@ class SweepCellStore:
     # Loading
     # ------------------------------------------------------------------ #
     def _load_existing(self) -> int:
-        """Parse the store; return the byte length of its valid prefix.
+        """Load the stored cells; return the byte length of the valid prefix.
 
-        Only newline-terminated lines count — an unterminated tail (the
-        fragment of a mid-write kill), or a final complete line that does
-        not parse, is excluded from the returned length so the caller can
-        truncate it away; its cell is simply recomputed.  Corruption
-        anywhere *before* the final line raises.
-
-        Reads bytes and splits on ``\\n`` only (the store is written with
-        ``newline="\\n"`` on every platform), so the returned length is an
-        exact on-disk byte offset — universal-newline translation would
-        silently shift it and make the truncation cut into valid records.
+        A partial or unparsable last line is excluded from the returned
+        length so the caller can truncate it away; its cell is simply
+        recomputed (:func:`read_store`).
         """
-        text = self.path.read_bytes().decode("utf-8")
-        complete = text[: text.rfind("\n") + 1]
-        lines = complete.split("\n")[:-1] if complete else []
-        if not lines:
-            raise StoreError(
-                f"{self.path}: unreadable store header (incomplete write)"
-            )
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{self.path}: unreadable store header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("kind") != STORE_KIND:
-            raise StoreError(
-                f"{self.path} is not a sweep cell store (missing "
-                f"{STORE_KIND!r} header)"
-            )
-        stored = header.get("fingerprint")
+        contents = read_store(
+            self.path,
+            kinds=(STORE_KIND,),
+            parse=lambda entry: (_key_from_json(entry["key"]), dict(entry["record"])),
+        )
+        stored = contents.header.get("fingerprint")
         if self.fingerprint is not None and stored is not None and stored != self.fingerprint:
             raise StoreError(
                 f"{self.path} was written for a different sweep spec "
@@ -158,20 +216,8 @@ class SweepCellStore:
                 f"{self.fingerprint}); refusing to mix grids — use a fresh "
                 "output directory or rerun with the original spec"
             )
-        keep_chars = len(lines[0]) + 1
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line.strip():
-                try:
-                    entry = json.loads(line)
-                    key = _key_from_json(entry["key"])
-                    record = dict(entry["record"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    if lineno == len(lines):
-                        break  # mid-write kill: recompute that one cell
-                    raise StoreError(f"{self.path}:{lineno}: corrupt cell entry")
-                self._records[key] = record
-            keep_chars += len(line) + 1
-        return len(complete[:keep_chars].encode("utf-8"))
+        self._records.update(contents.entries)
+        return contents.valid_bytes
 
     # ------------------------------------------------------------------ #
     # Appending
@@ -212,11 +258,6 @@ class SweepCellStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SweepCellStore(path={str(self.path)!r}, cells={len(self)})"
-
-
-#: Header sentinel of a scenario snapshot store.
-SNAPSHOT_STORE_KIND = "repro-scenario-snapshots"
-SNAPSHOT_STORE_VERSION = 1
 
 
 class ScenarioSnapshotStore:
@@ -283,33 +324,10 @@ class ScenarioSnapshotStore:
     def load(path: str | Path) -> list[dict]:
         """Read a snapshot store back into its record list.
 
-        A partial trailing line (mid-write kill) is silently dropped, like
-        the cell store's resume path; corruption earlier raises.
+        A partial trailing line (mid-write kill) is dropped, like the cell
+        store's resume path; corruption earlier raises (:func:`read_store`).
         """
-        path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise StoreError(f"{path}: empty snapshot store")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{path}: unreadable store header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("kind") != SNAPSHOT_STORE_KIND:
-            raise StoreError(
-                f"{path} is not a scenario snapshot store (missing "
-                f"{SNAPSHOT_STORE_KIND!r} header)"
-            )
-        records = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                records.append(dict(json.loads(line)["record"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                if lineno == len(lines):
-                    break  # mid-write kill: drop the fragment
-                raise StoreError(f"{path}:{lineno}: corrupt snapshot entry")
-        return records
+        return read_store(path, kinds=(SNAPSHOT_STORE_KIND,)).entries
 
     def close(self) -> None:
         """Flush and close the underlying file handle."""

@@ -31,9 +31,8 @@ touches the server and totals cannot race.
   plus the TCP buffers;
 * **exact accounting** — identical to in-memory mode, because the bytes
   inside a report/broadcast frame *are* the canonical service encoding
-  the in-memory server accounts.  The embedded server's message log is
-  drained at every round close: clients keep their own transcript, so
-  the gateway's would only grow.
+  the in-memory server accounts.  The server keeps running bit totals
+  only; the transcript is the client's round runner's.
 
 Synchronous hosts (tests, examples, the load generator, ``repro serve
 --listen`` is async-native) use :func:`start_gateway`, which runs the
@@ -509,12 +508,9 @@ class AggregationGateway:
                 # The gateway's half of every round close: every batch
                 # this connection sent before it is already ingested, so
                 # the export ships the raw (unestimated) state for the
-                # client to estimate.  Nothing here reads the server's
-                # message log (clients keep their own transcript), so it
-                # is dropped at each close to keep memory bounded.
+                # client to estimate.
                 round_id = int(message["round_id"])
                 exported = self.server.export_shard(round_id)
-                self.server.drain_messages()
                 self._m_shards_exported.inc()
                 await state.send_buffers(
                     framing.shard_state_frame_buffers(round_id, exported)

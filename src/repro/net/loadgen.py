@@ -5,14 +5,18 @@ on its own :class:`~repro.cluster.coordinator.ClusterConnection` (one
 gateway is a one-shard cluster), fanned out over an execution backend
 (:mod:`repro.engine`; ``"process"`` gives true multi-core clients, the
 realistic load shape) — through full frequency-oracle rounds against a
-gateway, and aggregates:
+gateway.  Each round is a :class:`~repro.service.server.ServiceRoundRunner`
+round over a :class:`~repro.cluster.coordinator.ClusterCoordinator`
+wrapping the pool's connection: the same loop a networked mechanism
+runs.  It aggregates:
 
 * **throughput** — end-to-end reports/second across all pools (perturb +
   encode + socket + gateway decode + shard accumulate);
 * **latency** — send→ack round trip of every report batch, summarised as
   p50/p95/p99/mean/max;
-* **exact wire accounting** — upload/broadcast bits as counted by the
-  clients, plus the gateway's own totals for cross-checking.
+* **exact wire accounting** — upload/broadcast bits from the round
+  runners' message logs, plus the gateway's own totals for
+  cross-checking.
 
 Workloads come from the same seams the rest of the repo uses: a registry
 dataset (every party becomes a :class:`~repro.service.clients.ClientPool`,
@@ -32,6 +36,7 @@ import numpy as np
 
 from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.engine import get_backend
+from repro.federation.transcript import FederationTranscript
 from repro.ldp.registry import make_oracle
 from repro.net.client import parse_cluster_addresses
 from repro.net.framing import WireFormatError
@@ -43,8 +48,7 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import Tracer
 from repro.service.clients import ClientPool
-from repro.service.protocol import RoundBroadcast, encode_report_batch, wire_bits
-from repro.service.server import ServiceError
+from repro.service.server import ServiceError, ServiceRoundRunner
 from repro.trie.candidate_domain import CandidateDomain
 from repro.utils.rng import RandomState, as_generator, spawn_seeds
 from repro.utils.tables import TextTable
@@ -78,51 +82,46 @@ class _PoolTask:
     trace: bool = False
 
 
-def _run_round(task: _PoolTask, pool: ClientPool, domain, connection, round_seed) -> dict:
-    """One full frequency-oracle round on an open connection.
+def _run_round(task: _PoolTask, pool: ClientPool, domain, server, round_seed) -> dict:
+    """One full frequency-oracle round through ``server``, a coordinator.
 
     Everything random derives from ``round_seed``, so replaying the same
     seed on a fresh connection reproduces the identical report stream —
-    the property the fault-retry loop relies on for bit-identity.
+    the property the fault-retry loop relies on for bit-identity.  The
+    round streams through :class:`~repro.service.server.ServiceRoundRunner`,
+    and the wire counters come from its message log.
     """
     round_gen = np.random.default_rng(round_seed)
-    oracle = make_oracle(task.oracle, task.epsilon)
-    round_id, bits = connection.open_round(
-        RoundBroadcast(
-            party=task.name,
-            level=task.level,
-            oracle_name=oracle.name,
-            epsilon=oracle.epsilon,
-            domain_size=domain.size,
-            prefixes=tuple(domain.prefixes),
-        )
+    items = pool.items
+    if task.users_per_round is not None:
+        items = items[pool.draw_users(task.users_per_round, round_gen)]
+    runner = ServiceRoundRunner(
+        server=server, party=task.name, batch_size=task.batch_size
     )
-    stats = {"n_reports": 0, "n_batches": 0, "upload_bits": 0, "broadcast_bits": bits}
-    user_indices = (
-        pool.draw_users(task.users_per_round, round_gen)
-        if task.users_per_round is not None
-        else None
+    estimate = runner.run_round(
+        make_oracle(task.oracle, task.epsilon),
+        domain.encode_items(items, task.n_bits),
+        domain,
+        round_gen,
+        mode="per_user",
     )
-    for batch in pool.iter_report_batches(
-        oracle, domain, task.n_bits, round_gen, user_indices=user_indices
-    ):
-        payload = encode_report_batch(batch)
-        connection.send_batch(round_id, payload)
-        stats["n_reports"] += batch.n_users
-        stats["n_batches"] += 1
-        stats["upload_bits"] += wire_bits(payload)
-    estimate = connection.finalize(round_id)
+    log = FederationTranscript(messages=runner.drain_messages())
     counts = estimate.estimated_counts[: domain.n_candidates]
     order = np.argsort(counts)[::-1][: task.top]
-    stats["top_prefixes"] = [[domain.prefixes[i], float(counts[i])] for i in order]
-    return stats
+    return {
+        "n_reports": int(items.size),
+        "n_batches": len(log.messages_of_kind("report_batch")),
+        "upload_bits": log.upload_bits(),
+        "broadcast_bits": log.broadcast_bits(),
+        "top_prefixes": [[domain.prefixes[i], float(counts[i])] for i in order],
+    }
 
 
 def _drive_pool(task: _PoolTask, seed: int) -> dict:
     """Stream every round of one pool; module-level so process backends pickle it."""
     # Lazy cluster import — repro.net loads this module eagerly, and the
     # cluster layer sits on top of it, not under it.
-    from repro.cluster.coordinator import ClusterConnection
+    from repro.cluster.coordinator import ClusterConnection, ClusterCoordinator
 
     domain = CandidateDomain.full_domain(task.level)
     pool = ClientPool(task.items, name=task.name, batch_size=task.batch_size)
@@ -148,7 +147,9 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
         for round_seed in round_seeds:
             for attempt in range(int(task.retries) + 1):
                 try:
-                    stats = _run_round(task, pool, domain, connection, round_seed)
+                    stats = _run_round(
+                        task, pool, domain, ClusterCoordinator(connection), round_seed
+                    )
                     break
                 except RETRYABLE_ERRORS:
                     # A fault mid-round leaves unknown state on both the

@@ -14,9 +14,10 @@ server memory is ``O(domain_size)``:
   batch folds in as its ``support_counts`` vector;
 * :mod:`repro.service.server` — :class:`AggregationServer` round lifecycle
   (the network gateway embeds one and calls its ``ingest`` on every wire
-  batch) plus :class:`ServiceRoundRunner`, the estimation-seam adapter
-  that turns ``MechanismConfig(execution_mode="service")`` into
-  end-to-end streamed TAP/TAPS runs;
+  batch) plus :class:`ServiceRoundRunner`, the one loop that streams a
+  round and logs its wire messages, and the estimation-seam adapter that
+  turns ``MechanismConfig(execution_mode="service")`` into end-to-end
+  streamed TAP/TAPS runs;
 * :mod:`repro.service.streaming` — sliding-window re-discovery for
   continual heavy-hitter tracking;
 * :mod:`repro.service.harness` — :func:`serve_dataset`, the programmatic

@@ -4,7 +4,9 @@
 hand-wiring rounds) uses :func:`serve_dataset`: it stands up an
 :class:`~repro.service.server.AggregationServer`, wraps every party of a
 dataset in a :class:`~repro.service.clients.ClientPool`, streams one or
-more frequency-oracle rounds through the wire codecs, and returns a
+more frequency-oracle rounds through the wire codecs, each a
+:class:`~repro.service.server.ServiceRoundRunner` round (the loop a
+service-mode mechanism runs), and returns a
 :class:`ServeReport` with per-round wire-bit accounting and the estimated
 top prefixes.
 
@@ -25,7 +27,7 @@ from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.datasets.base import FederatedDataset
 from repro.ldp.registry import make_oracle
 from repro.service.clients import ClientPool
-from repro.service.server import AggregationServer
+from repro.service.server import AggregationServer, ServiceRoundRunner
 from repro.trie.candidate_domain import CandidateDomain
 from repro.utils.rng import RandomState, as_generator, spawn_seeds
 from repro.utils.tables import TextTable
@@ -166,7 +168,6 @@ def serve_dataset(
     # is a function of the seed alone, never of streaming order.
     seeds = iter(spawn_seeds(gen, rounds * len(pools)))
 
-    server = AggregationServer()
     report = ServeReport(
         dataset=dataset.name,
         oracle=oracle,
@@ -174,26 +175,25 @@ def serve_dataset(
         level=int(level),
         batch_size=int(batch_size),
     )
+    server = AggregationServer()
     for round_index in range(rounds):
         for pool in pools:
-            round_seed = next(seeds)
-            round_gen = np.random.default_rng(round_seed)
-            fo = make_oracle(oracle, epsilon)
-            round_id = server.open_round(
-                party=pool.name, level=level, oracle=fo, domain=domain
+            round_gen = np.random.default_rng(next(seeds))
+            items = pool.items
+            if users_per_round is not None:
+                items = items[pool.draw_users(users_per_round, round_gen)]
+            # The estimate's metadata carries the round's exact wire bits,
+            # so the runner's own message log is not needed here.
+            runner = ServiceRoundRunner(
+                server=server, party=pool.name, batch_size=batch_size
             )
-            user_indices = (
-                pool.draw_users(users_per_round, round_gen)
-                if users_per_round is not None
-                else None
+            estimate = runner.run_round(
+                make_oracle(oracle, epsilon),
+                domain.encode_items(items, dataset.n_bits),
+                domain,
+                round_gen,
+                mode="per_user",
             )
-            n_users = 0
-            for batch in pool.iter_report_batches(
-                fo, domain, dataset.n_bits, round_gen, user_indices=user_indices
-            ):
-                n_users += batch.n_users
-                server.ingest_batch(round_id, batch)
-            estimate = server.finalize_round(round_id)
             counts = estimate.estimated_counts[: domain.n_candidates]
             order = np.argsort(counts)[::-1][:top]
             prefixes = domain.prefixes
@@ -202,7 +202,7 @@ def serve_dataset(
                     round_index=round_index,
                     party=pool.name,
                     level=level,
-                    n_users=n_users,
+                    n_users=estimate.n_users,
                     n_batches=estimate.metadata["n_batches"],
                     domain_size=domain.size,
                     upload_bits=estimate.metadata["upload_bits"],

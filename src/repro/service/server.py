@@ -6,19 +6,26 @@ privatized report batches from the wire into a mergeable
 :class:`~repro.service.shards.LevelShard`, and finalises the round into the
 same :class:`~repro.ldp.base.EstimationResult` the in-memory path produces.
 Server memory per round is ``O(domain_size)`` — independent of the number
-of reporting users — and every message is logged with its **exact** wire
-byte count.  The network gateway (:mod:`repro.net.gateway`) embeds one
-server and calls the same :meth:`AggregationServer.ingest` on every wire
-batch, so a round through a gateway runs exactly this code, checks and
-errors included.
+of reporting users — and every round accounts its **exact** wire bits.
+The network gateway (:mod:`repro.net.gateway`) embeds one server and calls
+the same :meth:`AggregationServer.ingest` on every wire batch, so a round
+through a gateway runs exactly this code, checks and errors included.
 
-:class:`ServiceRoundRunner` plugs the server into the estimation seam
+:class:`ServiceRoundRunner` is the one loop that streams a round, and the
+one place its wire messages are logged: it opens the round, perturbs and
+encodes the reports in bounded batches, ingests each one and closes the
+round, against anything with the server protocol (``open_round`` /
+``ingest`` / ``finalize_round`` / ``shutdown``) — an in-process
+:class:`AggregationServer` or a
+:class:`~repro.cluster.coordinator.ClusterCoordinator` over one gateway or
+N shards.  It plugs into the estimation seam
 (:class:`repro.core.estimation.RoundRunner`), which is how
 ``execution_mode="service"`` turns TAP/TAPS (and the baselines) into
-end-to-end streamed protocols without touching their trie logic.  The
-non-negotiable invariant, enforced by ``tests/test_service_equivalence.py``:
-for a fixed seed, a service run is bit-identical to the in-memory run with
-the same report batching.
+end-to-end streamed protocols without touching their trie logic; ``repro
+serve`` and the load generator drive it directly.  The non-negotiable
+invariant, enforced by ``tests/test_service_equivalence.py``: for a fixed
+seed, a service run is bit-identical to the in-memory run with the same
+report batching.
 """
 
 from __future__ import annotations
@@ -113,6 +120,26 @@ class ExportedShardState:
     upload_bits: int
     broadcast_bits: int
     counts: np.ndarray
+
+
+def round_open_bits(party: str, level: int, oracle: FrequencyOracle, domain) -> int:
+    """Exact wire bits of the broadcast that opens a round over ``domain``.
+
+    Computed from the broadcast header alone
+    (:func:`~repro.service.protocol.broadcast_wire_bits`): the prefix
+    list is never encoded.
+    """
+    return broadcast_wire_bits(
+        BroadcastHeader(
+            party=party,
+            level=int(level),
+            oracle_name=oracle.name,
+            epsilon=float(oracle.epsilon),
+            domain_size=int(domain.size),
+            n_prefixes=int(domain.n_candidates),
+            prefix_length=int(domain.prefix_length),
+        )
+    )
 
 
 def finalize_estimate(
@@ -217,12 +244,13 @@ class AggregationServer:
     Examples
     --------
     Stream one round by hand — open, ingest bounded wire batches, finalise
-    (``iter_perturbed_batches`` is what :class:`~repro.service.clients.ClientPool`
-    uses under the hood):
+    (:meth:`ServiceRoundRunner.run_round` is this loop, with the message
+    log):
 
     >>> import numpy as np
     >>> from repro.ldp.registry import make_oracle
     >>> from repro.service.clients import iter_perturbed_batches
+    >>> from repro.service.protocol import encode_report_batch
     >>> from repro.trie.candidate_domain import CandidateDomain
     >>> server = AggregationServer()
     >>> domain = CandidateDomain.full_domain(2)
@@ -231,7 +259,7 @@ class AggregationServer:
     >>> values = np.array([0, 1, 1, 3])
     >>> for batch in iter_perturbed_batches(oracle, values, domain.size, 0,
     ...                                     batch_size=2, party="demo", level=2):
-    ...     _ = server.ingest_batch(rid, batch)
+    ...     _ = server.ingest(rid, encode_report_batch(batch))
     >>> estimate = server.finalize_round(rid)
     >>> int(estimate.n_users), estimate.oracle_name
     (4, 'krr')
@@ -242,7 +270,6 @@ class AggregationServer:
     def __init__(self, *, defense=None, metrics=None):
         self.defense = defense
         self.rounds: dict[int, ServiceRound] = {}
-        self._messages: list[Message] = []
         self._next_round_id = 0
         self._upload_bits = 0
         self._broadcast_bits = 0
@@ -284,7 +311,7 @@ class AggregationServer:
         ``domain`` is a :class:`~repro.trie.candidate_domain.CandidateDomain`
         (anything with ``size``, ``n_candidates`` and ``prefix_length``
         works); the broadcast that announces the candidate prefixes is
-        logged with its exact encoded size, replacing the batch
+        accounted at its exact encoded size, replacing the batch
         simulations' analytic pair accounting.  That size follows from the
         broadcast header alone (:func:`~repro.service.protocol.
         broadcast_wire_bits`), so the broadcast is never encoded here.
@@ -292,17 +319,7 @@ class AggregationServer:
         round_id = self._next_round_id
         self._next_round_id += 1
         shard = LevelShard(oracle, domain.size, defense=self.defense)
-        bits = broadcast_wire_bits(
-            BroadcastHeader(
-                party=party,
-                level=int(level),
-                oracle_name=oracle.name,
-                epsilon=float(oracle.epsilon),
-                domain_size=int(domain.size),
-                n_prefixes=int(domain.n_candidates),
-                prefix_length=int(domain.prefix_length),
-            )
-        )
+        bits = round_open_bits(party, level, oracle, domain)
         round_ = ServiceRound(
             round_id=round_id,
             party=party,
@@ -317,15 +334,6 @@ class AggregationServer:
         if self._m_rounds_opened is not None:
             self._m_rounds_opened.inc()
             self._m_broadcast_bits.inc(bits)
-        self._messages.append(
-            Message(
-                direction=MessageDirection.SERVER_TO_PARTY,
-                party=party,
-                kind="service_round_open",
-                payload_bits=bits,
-                level=round_.level,
-            )
-        )
         return round_id
 
     @property
@@ -373,20 +381,7 @@ class AggregationServer:
             self._m_batches.inc()
             self._m_upload_bits.inc(payload_bits)
             self._m_reports.inc(n)
-        self._messages.append(
-            Message(
-                direction=MessageDirection.PARTY_TO_SERVER,
-                party=batch.party,
-                kind="report_batch",
-                payload_bits=payload_bits,
-                level=round_.level,
-            )
-        )
         return n
-
-    def ingest_batch(self, round_id: int, batch: ReportBatch) -> int:
-        """Encode a batch to wire bytes and ingest it (bytes always counted)."""
-        return self.ingest(round_id, encode_report_batch(batch))
 
     @staticmethod
     def _validate_batch(round_: ServiceRound, batch: ReportBatch) -> None:
@@ -473,44 +468,41 @@ class AggregationServer:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
-    @property
-    def messages(self) -> list[Message]:
-        """The wire messages logged so far (exact byte counts)."""
-        return list(self._messages)
-
-    def drain_messages(self) -> list[Message]:
-        """Hand the logged messages to a transcript and reset the buffer.
-
-        The log-rotation mechanism for long-lived servers: the running
-        bit totals below survive a drain.
-        """
-        messages, self._messages = self._messages, []
-        return messages
-
     def upload_bits(self) -> int:
-        """Running total of client → server wire bits (drain-proof)."""
+        """Running total of client → server wire bits."""
         return self._upload_bits
 
     def broadcast_bits(self) -> int:
-        """Running total of server → client wire bits (drain-proof)."""
+        """Running total of server → client wire bits."""
         return self._broadcast_bits
 
 
 @dataclass
 class ServiceRoundRunner(RoundRunner):
-    """Routes an estimator's FO rounds through the aggregation service.
+    """Streams FO rounds through a server and logs their wire messages.
 
-    Each round: the server broadcasts the candidate domain, a client pool
-    perturbs the party's reports in bounded batches, every batch crosses
-    the wire as real bytes, and the server's shard finalises into the
-    round's estimates.  Plugged into
+    Each round: the server broadcasts the candidate domain, the party's
+    reports are perturbed in bounded batches, every batch crosses the wire
+    as its canonical bytes, and the server's shard finalises into the
+    round's estimates.  ``server`` is anything with the server protocol:
+    an in-process :class:`AggregationServer`, or a
+    :class:`~repro.cluster.coordinator.ClusterCoordinator` over one
+    gateway or N shards.  Plugged into
     :class:`~repro.core.estimation.PartyEstimator` by
-    ``MechanismConfig(execution_mode="service")``.
+    ``MechanismConfig(execution_mode="service")`` (or ``"network"``).
+
+    The runner keeps the round's transcript: one ``service_round_open``
+    message at the broadcast's exact wire bits, then one ``report_batch``
+    message per batch at its exact wire bits, each logged once the
+    server has taken it.  The codecs are canonical, so these are the bits
+    every server accounts, wherever it runs; :meth:`drain_messages` hands
+    them to a :class:`~repro.federation.transcript.FederationTranscript`.
     """
 
     server: AggregationServer = field(default_factory=AggregationServer)
     party: str = "party"
     batch_size: int = DEFAULT_REPORT_BATCH_SIZE
+    _messages: list[Message] = field(default_factory=list, init=False, repr=False)
 
     def run_round(
         self,
@@ -527,8 +519,15 @@ class ServiceRoundRunner(RoundRunner):
                 f"simulation mode {mode!r} has none (use per_user)",
                 code="bad_mode",
             )
+        level = int(domain.prefix_length)
         round_id = self.server.open_round(
-            party=self.party, level=domain.prefix_length, oracle=oracle, domain=domain
+            party=self.party, level=level, oracle=oracle, domain=domain
+        )
+        self._log(
+            MessageDirection.SERVER_TO_PARTY,
+            "service_round_open",
+            round_open_bits(self.party, level, oracle, domain),
+            level,
         )
         for batch in iter_perturbed_batches(
             oracle,
@@ -537,10 +536,33 @@ class ServiceRoundRunner(RoundRunner):
             rng,
             batch_size=self.batch_size,
             party=self.party,
-            level=domain.prefix_length,
+            level=level,
         ):
-            self.server.ingest_batch(round_id, batch)
+            payload = encode_report_batch(batch)
+            self.server.ingest(round_id, payload)
+            self._log(
+                MessageDirection.PARTY_TO_SERVER,
+                "report_batch",
+                wire_bits(payload),
+                level,
+            )
         return self.server.finalize_round(round_id)
+
+    def _log(self, direction: MessageDirection, kind: str, bits: int, level: int) -> None:
+        self._messages.append(
+            Message(
+                direction=direction,
+                party=self.party,
+                kind=kind,
+                payload_bits=bits,
+                level=level,
+            )
+        )
+
+    def drain_messages(self) -> list[Message]:
+        """Hand the logged messages over and start a fresh log."""
+        messages, self._messages = self._messages, []
+        return messages
 
 
 def run_in_service_mode(mechanism, dataset, rng=None):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.direct import DirectUploadCostModel, infeasibility_summary
+from repro.baselines.direct import DirectUploadCostModel
 from repro.baselines.fedpem import FedPEMMechanism
 from repro.baselines.gtf import GTFMechanism
 from repro.baselines.pem import SinglePartyPEM
@@ -140,9 +140,3 @@ class TestDirectUploadCostModel:
             sample_users=200, sample_domain=16
         )
         assert per_op > 0
-
-    def test_infeasibility_summary(self, two_party_dataset):
-        summary = infeasibility_summary(two_party_dataset, epsilon=4.0)
-        assert set(summary) == {"oue", "olh"}
-        with pytest.raises(ValueError):
-            infeasibility_summary(two_party_dataset, epsilon=0.0)

@@ -15,6 +15,8 @@ shard export as ``shard_mismatch``.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.baselines.fedpem import FedPEMMechanism
@@ -27,7 +29,8 @@ from repro.cluster.coordinator import (
 from repro.core.config import MechanismConfig
 from repro.core.tap import TAPMechanism
 from repro.core.taps import TAPSMechanism
-from repro.net import run_over_network, start_gateway
+from repro.net import GatewayConnection, run_over_network, start_gateway
+from repro.net.framing import OversizeFrameError
 from repro.service.protocol import RoundBroadcast, encode_report_batch
 from repro.service.server import ServiceError, run_in_service_mode
 from repro.trie.candidate_domain import CandidateDomain
@@ -345,17 +348,21 @@ class TestClusterSurface:
         with pytest.raises(ValueError):
             parse_cluster_addresses("no-port")
 
-    @pytest.mark.parametrize("gateway", ["h:1", "h1:1,h2:2"])
-    def test_one_server_class_for_every_address(self, gateway):
+    @pytest.mark.parametrize("n_shards", [1, 2], ids=["one-gateway", "two-shards"])
+    def test_one_server_class_for_every_address(self, shard_pool, n_shards):
         """A single gateway is a one-shard cluster: the same class serves
-        both (connections open lazily, so no gateway has to listen)."""
+        both, over a connection to every listed gateway."""
+        gateway = _cluster_address(shard_pool, n_shards)
         config = MechanismConfig(
             k=5, epsilon=4.0, n_bits=8, simulation_mode="per_user",
             execution_mode="network", gateway=gateway,
         )
         runner = TAPMechanism._make_round_runner(config, "alpha")
-        assert type(runner.server) is ClusterCoordinator
-        assert runner.server.addresses == parse_cluster_addresses(gateway)
+        try:
+            assert type(runner.server) is ClusterCoordinator
+            assert runner.server.connection.addresses == parse_cluster_addresses(gateway)
+        finally:
+            runner.server.shutdown()
 
     def test_closed_single_gateway_is_shard_unavailable(self, two_party_dataset):
         handle = start_gateway()
@@ -365,6 +372,34 @@ class TestClusterSurface:
         with pytest.raises(ServiceError) as err:
             run_over_network(TAPMechanism(config), two_party_dataset, address, rng=1)
         assert err.value.code == "shard_unavailable"
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_failed_run_leaves_no_connection_open(self, two_party_dataset, monkeypatch):
+        """Every party connects before the first round; that round fails
+        (the gateway's frame bound refuses the first frame, client-side),
+        and the run still closes every connection it opened.  An unclosed
+        socket would also surface as a ResourceWarning at the collection
+        below, which these filters turn into a failure."""
+        opened: list[GatewayConnection] = []
+        original_init = GatewayConnection.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            opened.append(self)
+
+        monkeypatch.setattr(GatewayConnection, "__init__", recording_init)
+        with start_gateway(max_frame_bytes=16) as handle:
+            with pytest.raises(OversizeFrameError):
+                run_over_network(
+                    TAPMechanism(_config(two_party_dataset)),
+                    two_party_dataset,
+                    handle.address,
+                    rng=1,
+                )
+        assert len(opened) == two_party_dataset.n_parties
+        assert all(conn._sock.fileno() == -1 for conn in opened)
+        gc.collect()
 
     def test_connecting_to_a_dead_shard_is_shard_unavailable(self, shard_pool):
         live = shard_pool[0].address

@@ -7,7 +7,16 @@ import json
 import pytest
 
 from repro.experiments.runner import ExperimentSettings, iter_cells, run_sweep
-from repro.experiments.store import StoreError, SweepCellStore, cell_key
+from repro.cli.bench import load_records
+from repro.cli.common import CLIError
+from repro.experiments.store import (
+    SNAPSHOT_STORE_KIND,
+    ScenarioSnapshotStore,
+    StoreError,
+    SweepCellStore,
+    cell_key,
+    read_store,
+)
 
 
 def smoke_settings(**updates) -> ExperimentSettings:
@@ -114,6 +123,60 @@ class TestStoreBasics:
         path.write_text('{"records": []}\n')
         with pytest.raises(StoreError, match="not a sweep cell store"):
             SweepCellStore(path, resume=True)
+
+
+class TestOneStoreReader:
+    """``read_store`` parses both store kinds, for the stores and for
+    ``repro bench --from``."""
+
+    def _stores(self, tmp_path):
+        cells = list(iter_cells(smoke_settings()))[:2]
+        cell_path = tmp_path / "cells.jsonl"
+        with SweepCellStore(cell_path, fingerprint="fp") as store:
+            for index, cell in enumerate(cells):
+                store.append(cell, {"f1": index / 2})
+        snapshot_path = tmp_path / "snapshots.jsonl"
+        with ScenarioSnapshotStore(snapshot_path) as store:
+            store.append({"step": 2, "f1": 1.0})
+            store.append({"step": 4, "f1": 0.5})
+        return cell_path, snapshot_path
+
+    def test_both_kinds_drop_a_partial_tail_without_writing(self, tmp_path):
+        for path in self._stores(tmp_path):
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write('{"record": {"step": 6, "f1"')
+            before = path.read_bytes()
+            records = load_records(path)
+            assert len(records) == 2 and records == read_store(path).entries
+            assert path.read_bytes() == before  # re-rendering never writes
+        assert ScenarioSnapshotStore.load(path) == [
+            {"step": 2, "f1": 1.0},
+            {"step": 4, "f1": 0.5},
+        ]
+
+    def test_a_header_only_store_has_no_records(self, tmp_path):
+        cell_path = tmp_path / "cells.jsonl"
+        SweepCellStore(cell_path).close()
+        snapshot_path = tmp_path / "snapshots.jsonl"
+        ScenarioSnapshotStore(snapshot_path).close()
+        assert load_records(cell_path) == [] == load_records(snapshot_path)
+        assert ScenarioSnapshotStore.load(snapshot_path) == []
+
+    def test_earlier_corruption_raises(self, tmp_path):
+        for path in self._stores(tmp_path):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text(lines[0] + "garbage\n" + "".join(lines[1:]))
+            with pytest.raises(StoreError, match=":2: corrupt"):
+                read_store(path)
+            with pytest.raises(CLIError, match="corrupt"):
+                load_records(path)
+
+    def test_a_kind_filter_refuses_the_other_kind(self, tmp_path):
+        cell_path, _ = self._stores(tmp_path)
+        with pytest.raises(StoreError, match="not a scenario snapshot store"):
+            read_store(cell_path, kinds=(SNAPSHOT_STORE_KIND,))
+        with pytest.raises(StoreError, match="snapshot store"):
+            ScenarioSnapshotStore.load(cell_path)
 
 
 class TestResumeSemantics:

@@ -4,11 +4,14 @@ A gateway round is :meth:`AggregationServer.ingest` on each wire batch,
 called on the gateway's event loop.  This module pins that it is
 indistinguishable from an in-process ``AggregationServer``:
 
-* in every observable of a round — estimates, support counts, message
-  transcripts and exact wire-bit accounting — for every registered
-  oracle, through both networked round closes:
+* in every observable of a round — estimates, support counts, the round
+  runner's message transcript and exact wire-bit accounting — for every
+  registered oracle, through both networked round closes:
   ``GatewayConnection.finalize`` (driven directly) and a one-shard
   ``ClusterConnection.finalize`` (through ``ClusterCoordinator``);
+* in what each round accounts: the bits the round runner logs (the only
+  transcript) equal the bits the in-process server, one gateway or a
+  2-shard cluster counted for that round;
 * in how a bad batch is refused: the exception type and structured code,
   for every header mismatch, an unusable ε, a closed or unknown round
   and a corrupt payload;
@@ -28,7 +31,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterConnection, ClusterCoordinator
+from repro.federation.transcript import FederationTranscript
 from repro.ldp import available_oracles, make_oracle
 from repro.net import GatewayConnection, framing, start_gateway
 from repro.service.clients import ClientPool, iter_perturbed_batches
@@ -38,7 +42,7 @@ from repro.service.protocol import (
     encode_report_batch,
     wire_bits,
 )
-from repro.service.server import AggregationServer, ServiceError
+from repro.service.server import AggregationServer, ServiceError, ServiceRoundRunner
 from repro.trie.candidate_domain import CandidateDomain
 
 N_BITS = 6
@@ -75,30 +79,30 @@ def _assert_results_identical(reference, candidate):
         assert getattr(candidate, name) == getattr(reference, name), name
 
 
-def _transcript(server_or_remote):
-    return [
-        (m.direction, m.party, m.kind, m.payload_bits, m.level)
-        for m in server_or_remote.messages
-    ]
-
-
 # --------------------------------------------------------------------------- #
 # Live gateway ≡ in-process server, through every networked round close
 # --------------------------------------------------------------------------- #
 def _run_round_over(server, oracle_name: str):
-    """One fixed-seed round through anything with the server protocol."""
+    """One fixed-seed round streamed by the round runner through anything
+    with the server protocol: the estimate, the runner's transcript, and
+    the wire bits that transcript logs up and down."""
     oracle = make_oracle(oracle_name, epsilon=EPSILON)
+    runner = ServiceRoundRunner(server=server, party="party-a", batch_size=BATCH_SIZE)
     try:
-        round_id = server.open_round(
-            party="party-a", level=N_BITS, oracle=oracle, domain=_domain()
+        result = runner.run_round(
+            oracle,
+            _domain().encode_items(_items(), N_BITS),
+            _domain(),
+            17,
+            mode="per_user",
         )
-        pool = ClientPool(_items(), name="party-a", batch_size=BATCH_SIZE)
-        for batch in pool.iter_report_batches(oracle, _domain(), N_BITS, rng=17):
-            server.ingest_batch(round_id, batch)
-        result = server.finalize_round(round_id)
-        return result, _transcript(server), server.upload_bits(), server.broadcast_bits()
     finally:
         server.shutdown()
+    log = FederationTranscript(messages=runner.drain_messages())
+    transcript = [
+        (m.direction, m.party, m.kind, m.payload_bits, m.level) for m in log.messages
+    ]
+    return result, transcript, log.upload_bits(), log.broadcast_bits()
 
 
 def _run_round_over_gateway_connection(address: str, oracle_name: str):
@@ -126,14 +130,17 @@ def _run_round_over_gateway_connection(address: str, oracle_name: str):
 
 @pytest.mark.parametrize("oracle_name", available_oracles())
 def test_gateway_equals_in_process(oracle_name):
-    ref_result, ref_transcript, ref_up, ref_down = _run_round_over(
-        AggregationServer(), oracle_name
-    )
+    server = AggregationServer()
+    ref_result, ref_transcript, ref_up, ref_down = _run_round_over(server, oracle_name)
+    # The runner logs exactly the bits the in-process server accounts.
+    assert (ref_up, ref_down) == (server.upload_bits(), server.broadcast_bits())
     with start_gateway() as gateway:
         # A one-address ClusterCoordinator closes through
         # ClusterConnection.finalize; GatewayConnection.finalize is driven
         # directly, as the benchmark's ingest workload does.
-        cluster = _run_round_over(ClusterCoordinator(gateway.address), oracle_name)
+        cluster = _run_round_over(
+            ClusterCoordinator(ClusterConnection(gateway.address)), oracle_name
+        )
         gateway_close = _run_round_over_gateway_connection(
             gateway.address, oracle_name
         )
@@ -146,6 +153,60 @@ def test_gateway_equals_in_process(oracle_name):
     result, up, down = gateway_close
     _assert_results_identical(ref_result, result)
     assert (up, down) == (ref_up, ref_down)
+
+
+# --------------------------------------------------------------------------- #
+# The round runner's transcript ≡ what the servers themselves accounted
+# --------------------------------------------------------------------------- #
+#: Prefix lengths of the checked rounds: domains of 3, 65 and 513 slots.
+LOG_LEVELS = (1, N_BITS, 9)
+
+
+@pytest.fixture(scope="module")
+def two_gateways():
+    handles = [start_gateway() for _ in range(2)]
+    yield handles
+    for handle in handles:
+        handle.close()
+
+
+@pytest.mark.parametrize("topology", ["service", "gateway", "2-shard"])
+@pytest.mark.parametrize("oracle_name", available_oracles())
+def test_runner_log_matches_server_counts(oracle_name, topology, two_gateways):
+    """Each round's runner-logged bits equal the bits its servers accounted
+    (the estimate's metadata, which a gateway or shard cluster exports);
+    in service mode the run's logged totals also equal the server's own
+    running totals.  The runner is the only transcript, so this is the
+    cross-check between the client's log and the servers' counts."""
+    if topology == "service":
+        server = AggregationServer()
+    else:
+        n_shards = 1 if topology == "gateway" else 2
+        server = ClusterCoordinator(
+            ClusterConnection([handle.address for handle in two_gateways[:n_shards]])
+        )
+    oracle = make_oracle(oracle_name, epsilon=EPSILON)
+    runner = ServiceRoundRunner(server=server, party="party-a", batch_size=BATCH_SIZE)
+    logged = FederationTranscript()
+    try:
+        for level in LOG_LEVELS:
+            domain = CandidateDomain.full_domain(level, include_dummy=True)
+            values = np.random.default_rng(level).integers(0, domain.size, size=N_USERS)
+            estimate = runner.run_round(oracle, values, domain, level, mode="per_user")
+            round_log = FederationTranscript(messages=runner.drain_messages())
+            assert round_log.upload_bits() == estimate.metadata["upload_bits"]
+            assert round_log.broadcast_bits() == estimate.metadata["broadcast_bits"]
+            assert (
+                len(round_log.messages_of_kind("report_batch"))
+                == estimate.metadata["n_batches"]
+            )
+            logged.extend(round_log)
+    finally:
+        server.shutdown()
+    assert len(logged.messages_of_kind("service_round_open")) == len(LOG_LEVELS)
+    if topology == "service":
+        assert logged.upload_bits() == server.upload_bits()
+        assert logged.broadcast_bits() == server.broadcast_bits()
 
 
 # --------------------------------------------------------------------------- #

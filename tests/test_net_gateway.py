@@ -10,7 +10,8 @@ import pytest
 
 from repro.ldp.registry import make_oracle
 from repro.net import framing
-from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.coordinator import ClusterConnection, ClusterCoordinator
+from repro.federation.transcript import FederationTranscript
 from repro.net.client import GatewayConnection
 from repro.net.framing import OversizeFrameError
 from repro.net.gateway import start_gateway
@@ -21,7 +22,7 @@ from repro.service.protocol import (
     encode_report_batch,
     wire_bits,
 )
-from repro.service.server import AggregationServer, ServiceError
+from repro.service.server import AggregationServer, ServiceError, ServiceRoundRunner
 from repro.trie.candidate_domain import CandidateDomain
 
 
@@ -77,7 +78,7 @@ class TestRoundsOverTheWire:
         for batch in iter_perturbed_batches(
             oracle, values, domain.size, 5, batch_size=100, party="alpha", level=3
         ):
-            local_server.ingest_batch(round_id, batch)
+            local_server.ingest(round_id, encode_report_batch(batch))
         local = local_server.finalize_round(round_id)
 
         np.testing.assert_array_equal(remote.support_counts, local.support_counts)
@@ -99,19 +100,19 @@ class TestRoundsOverTheWire:
         assert remote.oracle_name == "olh"
         assert remote.n_users == 300
 
-    def test_round_close_drains_the_gateway_transcript(self):
-        """Clients keep their own transcript; the gateway's embedded
-        server must not accumulate one for the life of the process."""
+    def test_round_close_leaves_only_open_rounds_on_the_gateway(self):
+        """The gateway's embedded server keeps running bit totals and the
+        state of its open rounds, nothing more: each close releases its
+        round, and no message log grows for the life of the process."""
         domain = CandidateDomain.full_domain(3)
         with start_gateway() as handle:
             server = handle.gateway.server
             with GatewayConnection(handle.address) as connection:
-                connection.open_round(_broadcast(domain))
-                assert server.messages  # the open round is logged...
+                open_id, _ = connection.open_round(_broadcast(domain))
                 for seed in range(4):
                     _stream_round(connection, domain, seed=seed)
-                # ...and each round close drains the whole log, that entry too.
-                assert server.messages == []
+                assert list(server.rounds) == [open_id]
+                assert not hasattr(server, "drain_messages")
                 assert server.upload_bits() > 0  # running totals survive
 
     def test_round_closed_by_another_connection_keeps_exact_metadata(self, gateway):
@@ -438,19 +439,16 @@ class TestCoordinatorOverOneGateway:
         values = np.random.default_rng(9).integers(0, domain.size, size=200)
 
         def drive(server):
-            round_id = server.open_round(
-                party="alpha", level=3, oracle=oracle, domain=domain
-            )
-            for batch in iter_perturbed_batches(
-                oracle, values, domain.size, 9, batch_size=64, party="alpha", level=3
-            ):
-                server.ingest_batch(round_id, batch)
-            estimate = server.finalize_round(round_id)
-            return estimate, server.drain_messages()
+            runner = ServiceRoundRunner(server=server, party="alpha", batch_size=64)
+            try:
+                estimate = runner.run_round(oracle, values, domain, 9, mode="per_user")
+            finally:
+                server.shutdown()
+            return estimate, runner.drain_messages()
 
-        remote_server = ClusterCoordinator(gateway.address)
-        remote_est, remote_msgs = drive(remote_server)
-        remote_server.shutdown()
+        remote_est, remote_msgs = drive(
+            ClusterCoordinator(ClusterConnection(gateway.address))
+        )
         local_server = AggregationServer()
         local_est, local_msgs = drive(local_server)
 
@@ -463,13 +461,14 @@ class TestCoordinatorOverOneGateway:
             (m.direction, m.party, m.kind, m.payload_bits, m.level)
             for m in local_msgs
         ]
-        assert remote_server.upload_bits() == local_server.upload_bits()
-        assert remote_server.broadcast_bits() == local_server.broadcast_bits()
+        remote_log = FederationTranscript(messages=remote_msgs)
+        assert remote_log.upload_bits() == local_server.upload_bits()
+        assert remote_log.broadcast_bits() == local_server.broadcast_bits()
 
     def test_raw_payload_ingest_matches_server(self, gateway):
         domain = CandidateDomain.full_domain(3)
         oracle = make_oracle("krr", 4.0)
-        server = ClusterCoordinator(gateway.address)
+        server = ClusterCoordinator(ClusterConnection(gateway.address))
         round_id = server.open_round(
             party="alpha", level=3, oracle=oracle, domain=domain
         )
@@ -478,10 +477,10 @@ class TestCoordinatorOverOneGateway:
             batch_size=16, party="alpha", level=3,
         )
         payload = encode_report_batch(batch)
-        assert server.ingest(round_id, payload) == 10
-        assert server.upload_bits() == wire_bits(payload)
+        server.ingest(round_id, payload)
         estimate = server.finalize_round(round_id)
         assert estimate.n_users == 10
+        assert estimate.metadata["upload_bits"] == wire_bits(payload)
         server.shutdown()
 
     @pytest.mark.parametrize("level", [0, 1, 4, 14])

@@ -31,7 +31,7 @@ from repro.service.protocol import (
     split_broadcast,
     wire_bits,
 )
-from repro.service.server import AggregationServer
+from repro.service.server import AggregationServer, ServiceRoundRunner
 from repro.trie.candidate_domain import CandidateDomain
 
 
@@ -524,8 +524,9 @@ def _forbid(monkeypatch, name: str) -> None:
 
 class TestBroadcastAccounting:
     def test_server_open_round_never_encodes_the_broadcast(self, monkeypatch):
-        """The server counts a broadcast's bits from its header: a level-14
-        round opens without the 16k-prefix encode."""
+        """The server counts a broadcast's bits from its header, and so does
+        the round runner that logs them: a level-14 round opens without
+        the 16k-prefix encode."""
         domain = CandidateDomain.full_domain(14, include_dummy=True)
         oracle = make_oracle("krr", 8.0)
         expected = wire_bits(
@@ -535,8 +536,11 @@ class TestBroadcastAccounting:
         server = AggregationServer()
         server.open_round(party="p", level=14, oracle=oracle, domain=domain)
         assert server.broadcast_bits() == expected
-        (message,) = server.messages
-        assert message.payload_bits == expected
+        runner = ServiceRoundRunner(server=AggregationServer(), party="p")
+        runner.run_round(oracle, np.zeros(0, dtype=np.int64), domain, 0, mode="per_user")
+        (message,) = runner.drain_messages()
+        assert message.kind == "service_round_open"
+        assert message.payload_bits == expected == runner.server.broadcast_bits()
 
     def test_gateway_opens_a_round_without_encoding_or_parsing(self, monkeypatch):
         """No prefix string is built: neither codec direction runs."""

@@ -80,39 +80,45 @@ class TestRoundFinalization:
 
 
 class TestAccounting:
-    def test_exact_wire_bits(self):
-        oracle = make_oracle("krr", epsilon=2.0)
+    def _run(self, server):
+        """One k-RR round of 300 users in batches of 100, via the runner."""
         domain = _domain(4)
         values = np.random.default_rng(0).integers(0, domain.size, size=300)
+        runner = ServiceRoundRunner(server=server, party="alpha", batch_size=100)
+        runner.run_round(
+            make_oracle("krr", epsilon=2.0), values, domain, 3, mode="per_user"
+        )
+        return runner
+
+    def test_exact_wire_bits(self):
         server = AggregationServer()
-        _stream_round(server, oracle, values, domain, 3, batch_size=100)
+        runner = self._run(server)
+        messages = runner.drain_messages()
         uploads = [
-            m for m in server.messages
-            if m.direction is MessageDirection.PARTY_TO_SERVER
+            m for m in messages if m.direction is MessageDirection.PARTY_TO_SERVER
         ]
         assert len(uploads) == 3
         assert all(m.kind == "report_batch" for m in uploads)
         assert server.upload_bits() == sum(m.payload_bits for m in uploads)
-        assert server.broadcast_bits() > 0
-        drained = server.drain_messages()
-        assert len(drained) == 4 and server.messages == []
+        (broadcast,) = [
+            m for m in messages if m.direction is MessageDirection.SERVER_TO_PARTY
+        ]
+        assert broadcast.kind == "service_round_open"
+        assert server.broadcast_bits() == broadcast.payload_bits > 0
+        assert len(messages) == 4 and runner.drain_messages() == []
 
     def test_totals_survive_drain_and_shards_are_released(self):
-        oracle = make_oracle("krr", epsilon=2.0)
-        domain = _domain(4)
-        values = np.random.default_rng(0).integers(0, domain.size, size=300)
         server = AggregationServer()
-        round_id = _stream_round(server, oracle, values, domain, 3, batch_size=100)
-        server.finalize_round(round_id)
+        runner = self._run(server)
         upload, broadcast = server.upload_bits(), server.broadcast_bits()
         assert upload > 0 and broadcast > 0
-        server.drain_messages()
+        runner.drain_messages()
         assert server.upload_bits() == upload
         assert server.broadcast_bits() == broadcast
         # Finalisation released the round, accumulator and bookkeeping.
-        assert round_id not in server.rounds
+        assert server.rounds == {}
         with pytest.raises(ServiceError) as excinfo:
-            server.finalize_round(round_id)
+            server.finalize_round(0)
         assert excinfo.value.code == "round_closed"
 
 
