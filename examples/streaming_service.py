@@ -8,8 +8,8 @@ Run with::
 The batch simulations materialise every report of a level at once, so the
 population is capped by an ``(n_users, domain_size)`` matrix in RAM.  In
 service mode the same TAP protocol runs as a message pipeline instead:
-:class:`~repro.service.clients.ClientPool` emits privatized report batches
-of bounded size, the :class:`~repro.service.server.AggregationServer` folds
+:func:`~repro.service.clients.iter_perturbed_batches` emits privatized report
+batches of bounded size, the :class:`~repro.service.server.AggregationServer` folds
 them into ``O(domain_size)`` shards, and the transcript records the exact
 bytes every batch put on the wire.  Peak report-buffer memory is
 ``batch_size`` reports — never the full population — which is what lets a

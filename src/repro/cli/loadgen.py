@@ -72,8 +72,8 @@ def add_parser(subparsers) -> argparse.ArgumentParser:
     parser.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
         help="target a running gateway; a comma-separated list targets a "
-             "shard cluster (repro cluster) through consistent-hash "
-             "routing (default: self-host one gateway in-process "
+             "shard cluster (repro cluster), batches sent round-robin "
+             "(default: self-host one gateway in-process "
              "on an ephemeral port)",
     )
     parser.add_argument(

@@ -1,13 +1,13 @@
-"""Cluster coordinator: consistent-hash routing and the round-close barrier.
+"""Cluster coordinator: round-robin routing and the round-close barrier.
 
 Every networked client path runs through this module; a single gateway
 address is a one-shard cluster.  Two layers:
 
 * :class:`ClusterConnection` — one logical round fans out into a
   physical sub-round on every shard gateway (each reached over its own
-  :class:`~repro.net.client.GatewayConnection`), report batches route to
-  the shard the :class:`~repro.cluster.ring.HashRing` assigns them, and
-  :meth:`ClusterConnection.finalize` runs the round-close **barrier** —
+  :class:`~repro.net.client.GatewayConnection`), report batches go to
+  the shards round-robin (every shard accumulates over the full domain),
+  and :meth:`ClusterConnection.finalize` runs the round-close **barrier** —
   drain every shard, collect each shard's raw
   :class:`~repro.service.server.ExportedShardState`, validate them against
   the logical round, then merge the exact int64 counts and estimate
@@ -42,8 +42,6 @@ codes, branchable like the PR 5 codes):
 * ``shard_unavailable`` — a gateway died, refused the connection or
   stopped answering (socket timeouts bound every read: never a hang) —
   for a single gateway too;
-* ``ring_version_mismatch`` — the ring changed between round open and the
-  barrier, so routing can no longer be trusted;
 * ``shard_mismatch`` — a shard's exported state disagrees with the
   logical round (identity fields, broadcast size or accounting totals).
 """
@@ -53,7 +51,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.cluster.ring import HashRing
 from repro.ldp.base import EstimationResult, FrequencyOracle
 from repro.net.client import GatewayConnection, parse_cluster_addresses
 from repro.obs.registry import METRICS_SCHEMA, MetricsRegistry
@@ -78,7 +75,6 @@ class _ClusterRound:
     epsilon: float
     domain_size: int
     broadcast_bits: int
-    ring_version: str
     shard_round_ids: list[int] = field(default_factory=list)
     next_seq: int = 0
     n_batches: int = 0
@@ -99,7 +95,8 @@ class ClusterConnection:
     ----------
     addresses:
         ``HOST:PORT``, or a comma-joined string (or iterable) of them, one
-        per shard gateway.  Order defines shard indices on the ring.
+        per shard gateway.  Order defines shard indices: the k-th batch
+        this connection sends goes to shard ``k % len(addresses)``.
     timeout:
         Socket timeout for every shard connection; a stuck shard
         surfaces as a ``shard_unavailable`` :class:`ServiceError`,
@@ -137,8 +134,8 @@ class ClusterConnection:
         self.op_timeout = None if op_timeout is None else float(op_timeout)
         # Routing only decides *which* shard accumulates a batch, never
         # the merged result (the merge algebra is partition-independent),
-        # so the ring is fixed by the shard count alone.
-        self.ring = HashRing(self.n_shards)
+        # so batches simply take turns: the k-th send goes to shard k % N.
+        self._n_sent = 0
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tracer = tracer
         self._m_rounds_opened = self.telemetry.counter("cluster_rounds_opened_total")
@@ -248,27 +245,24 @@ class ClusterConnection:
             epsilon=float(broadcast.epsilon),
             domain_size=int(broadcast.domain_size),
             broadcast_bits=canonical_bits,
-            ring_version=self.ring.version,
             shard_round_ids=shard_round_ids,
         )
         self._m_rounds_opened.inc()
         return round_id, canonical_bits
 
     def send_batch(self, round_id: int, payload: bytes) -> int:
-        """Route one encoded report batch to its owning shard.
+        """Send one encoded report batch to the next shard, round-robin.
 
-        The routing key is ``(party:level:round, seq)`` — deterministic,
-        so a fixed-seed replay routes identically — and the owning shard
-        is the ring's assignment for the key's candidate slot.
+        This connection's k-th batch goes to shard ``k % n_shards``: a
+        fixed sequence of sends routes identically, and the batches split
+        evenly over the shards, within one.  Returns the batch's
+        per-round ``seq``.
         """
         round_ = self._round(round_id)
         seq = round_.next_seq
         round_.next_seq += 1
-        shard = self.ring.route_batch(
-            f"{round_.party}:{round_.level}:{round_.round_id}",
-            seq,
-            round_.domain_size,
-        )
+        shard = self._n_sent % self.n_shards
+        self._n_sent += 1
         try:
             self._on_shard(
                 shard,
@@ -314,13 +308,6 @@ class ClusterConnection:
         ingesting the whole stream.
         """
         round_ = self._round(round_id)
-        if self.ring.version != round_.ring_version:
-            raise ServiceError(
-                f"cluster round {round_id} was opened under ring version "
-                f"{round_.ring_version}, the ring is now {self.ring.version} — "
-                "routing can no longer be trusted",
-                code="ring_version_mismatch",
-            )
         # The barrier consumes the round: shard sub-rounds close as their
         # states export, so a half-failed barrier must not be retried
         # against already-released shards.
@@ -392,28 +379,9 @@ class ClusterConnection:
     # Cluster management
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        """Aggregated accounting: summable counters plus per-shard detail.
-
-        ``upload_bits`` sums to the logical total (each batch lands on
-        exactly one shard); ``broadcast_bits`` is **physical** — every
-        shard broadcasts every round — so it is N× the logical figure.
-        """
-        shards = [
-            self._on_shard(shard, conn.stats)
-            for shard, conn in enumerate(self._connections)
-        ]
-        summed = {
-            key: sum(entry[key] for entry in shards)
-            for key in (
-                "upload_bits",
-                "broadcast_bits",
-                "rounds_opened",
-                "open_rounds",
-                "frames_rejected",
-            )
-            if all(key in entry for entry in shards)
-        }
-        return {"n_shards": self.n_shards, **summed, "shards": shards}
+        """Aggregated accounting: the :func:`cluster_stats` of one
+        :meth:`metrics` scrape."""
+        return cluster_stats(self.metrics())
 
     def metrics(self) -> dict:
         """Cluster-wide metrics document: coordinator registry + shard scrapes.
@@ -457,6 +425,29 @@ class ClusterConnection:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def cluster_stats(document: dict) -> dict:
+    """Aggregated accounting of a :meth:`ClusterConnection.metrics` document.
+
+    Summable counters plus every shard's ``"stats"`` under ``"shards"``.
+    ``upload_bits`` sums to the logical total (each batch lands on
+    exactly one shard); ``broadcast_bits`` is **physical** — every shard
+    broadcasts every round — so it is N× the logical figure.
+    """
+    shards = [shard["stats"] for shard in document["shards"]]
+    summed = {
+        key: sum(entry[key] for entry in shards)
+        for key in (
+            "upload_bits",
+            "broadcast_bits",
+            "rounds_opened",
+            "open_rounds",
+            "frames_rejected",
+        )
+        if all(key in entry for entry in shards)
+    }
+    return {"n_shards": len(shards), **summed, "shards": shards}
 
 
 class ClusterCoordinator:

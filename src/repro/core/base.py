@@ -44,6 +44,13 @@ class FederatedMechanism(abc.ABC):
         """Identify the federated top-k heavy hitters of ``dataset``."""
         start = time.perf_counter()
         config = self.config.for_dataset(dataset.n_bits)
+        if config.defense is not None and config.execution_mode != "service":
+            # Only service mode accumulates wire batches in a local shard
+            # the robust merge can act on; a gateway takes no policy.
+            raise ValueError(
+                f"defense={config.defense!r} needs execution_mode=\"service\": "
+                f"{config.execution_mode} mode has no shard to defend"
+            )
         gen = as_generator(rng)
         transcript = FederationTranscript(pair_bits=config.pair_bits)
         oracle = config.make_oracle()
@@ -107,7 +114,8 @@ class FederatedMechanism(abc.ABC):
         """The per-party round runner for the configured execution mode.
 
         ``None`` keeps the estimator's in-memory default; service mode
-        gives every party its own aggregation server, and the runner's
+        gives every party its own aggregation server, carrying the
+        configured defense policy, and the runner's
         message log is what :meth:`run` folds into the transcript in party
         order.  Network mode swaps the local server for a
         :class:`~repro.cluster.coordinator.ClusterCoordinator` over a
@@ -130,7 +138,7 @@ class FederatedMechanism(abc.ABC):
         if config.execution_mode != "service":
             return None
         return ServiceRoundRunner(
-            server=AggregationServer(),
+            server=AggregationServer(defense=config.defense_policy()),
             party=party_name,
             batch_size=config.effective_report_batch_size,
         )

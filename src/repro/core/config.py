@@ -99,9 +99,9 @@ class MechanismConfig:
         required by (and only meaningful for)
         ``execution_mode="network"``.  A **comma-separated list** of
         addresses names a shard cluster (:mod:`repro.cluster`): rounds
-        fan out over every shard through consistent-hash routing and
-        merge at the round-close barrier, still bit-identical to the
-        single-gateway run.
+        open on every shard, their report batches go to the shards
+        round-robin, and they merge at the round-close barrier, still
+        bit-identical to the single-gateway run.
     report_batch_size:
         Upper bound on the number of reports perturbed/ingested at a time.
         ``None`` perturbs an in-memory round as one batch and lets
@@ -117,7 +117,9 @@ class MechanismConfig:
         keeps the exact linear merge.  Opt-in precisely because a robust
         merge departs from the plain-sum bit-identity contract — use it
         when scoring adversarial scenarios
-        (:mod:`repro.scenarios.adversaries`).
+        (:mod:`repro.scenarios.adversaries`).  A mechanism run accepts it
+        in ``"service"`` mode only: a memory run has no shard to defend
+        and a gateway takes no policy, so both refuse it up front.
     defense_fraction:
         Assumed corrupt fraction of wire batches for the defense (the
         trim share per tail / the clipping headroom).

@@ -353,9 +353,9 @@ class ClusterSpec:
     """One validated ``cluster:`` section: the shard topology.
 
     ``shards``/``host`` size the launcher
-    (:func:`repro.cluster.launcher.launch_cluster`).  The hash ring is
-    not configurable: it is fixed by the shard count, and routing never
-    changes a merged result.
+    (:func:`repro.cluster.launcher.launch_cluster`).  Routing is not
+    configurable: batches go to the shards round-robin, and routing
+    never changes a merged result.
     """
 
     shards: int = 2

@@ -402,13 +402,9 @@ class GatewayConnection:
             return state
 
     def stats(self) -> dict:
-        """The gateway's accounting/admission counters."""
-        with self._operation_deadline(self.op_timeout):
-            self.drain()
-            self._send(FRAME_ROUND_CONTROL, framing.encode_control({"op": "stats"}))
-            message = self._expect_control("stats")
-        message.pop("op", None)
-        return message
+        """The gateway's accounting/admission counters: the ``"stats"``
+        part of its :meth:`metrics` document."""
+        return self.metrics()["stats"]
 
     def metrics(self) -> dict:
         """Scrape the gateway's full telemetry document (``op: metrics``).

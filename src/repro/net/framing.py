@@ -14,7 +14,7 @@ and the body of each kind wraps the existing canonical codecs **unchanged**:
   batch`` (the ``seq`` is echoed in the ack, which is how the client
   measures per-batch latency and runs the credit loop);
 * ``FRAME_ROUND_CONTROL`` — a canonical-JSON control message (welcome /
-  round_open / batch_ack / export_shard / metrics / stats / shutdown);
+  round_open / batch_ack / export_shard / metrics / shutdown);
 * ``FRAME_ERROR`` — a structured ``{code, message}`` document mapping back
   to the exact exception the in-memory path would have raised
   (:func:`error_to_exception`);

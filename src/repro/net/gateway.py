@@ -522,9 +522,6 @@ class AggregationGateway:
                     framing.FRAME_STATS, framing.encode_metrics_frame(document)
                 )
                 return True
-            if op == "stats":
-                await state.send_control({"op": "stats", **self.stats()})
-                return True
             if op == "shutdown":
                 if not self.allow_shutdown:
                     raise ServiceError(

@@ -124,7 +124,7 @@ def _drive_pool(task: _PoolTask, seed: int) -> dict:
     from repro.cluster.coordinator import ClusterConnection, ClusterCoordinator
 
     domain = CandidateDomain.full_domain(task.level)
-    pool = ClientPool(task.items, name=task.name, batch_size=task.batch_size)
+    pool = ClientPool(task.items, name=task.name)
     round_seeds = spawn_seeds(np.random.default_rng(seed), task.rounds)
     n_reports = n_batches = upload_bits = broadcast_bits = 0
     n_retries = 0
@@ -328,7 +328,7 @@ def run_loadgen(
         ``HOST:PORT`` of a listening gateway — or a **comma-separated
         list** (or iterable) of them, which drives a shard cluster.  Every
         pool gets a :class:`~repro.cluster.coordinator.ClusterConnection`
-        routing its batches over the hash ring and merging at the
+        sending its batches to the shards round-robin and merging at the
         round-close barrier; one gateway is a one-shard cluster.
     dataset / scale / dataset_seed:
         Registry dataset (name or a loaded
@@ -384,6 +384,7 @@ def run_loadgen(
     check_positive("connections", connections)
     check_positive("rounds", rounds)
     check_positive("level", level)
+    check_positive("batch_size", batch_size)
     check_positive("retries", retries, strict=False)
     if users_per_round is not None:
         check_positive("users_per_round", users_per_round)
@@ -399,9 +400,7 @@ def run_loadgen(
             (
                 f"{getattr(scenario, 'name', 'scenario')}#{index}",
                 ClientPool.from_arrivals(
-                    built.iter_batches(replay_seeds[index]),
-                    name=f"scenario#{index}",
-                    batch_size=batch_size,
+                    built.iter_batches(replay_seeds[index]), name=f"scenario#{index}"
                 ).items,
             )
             for index in range(connections)
@@ -514,13 +513,15 @@ def run_loadgen(
     all_latencies = [lat for r in results for lat in r["latencies"]]
     gateway_stats = None
     if include_gateway_stats:
-        # The probe asks the real gateway, never the (now closed) proxies.
-        from repro.cluster.coordinator import ClusterConnection
+        # The probe asks the real gateway, never the (now closed) proxies,
+        # and scrapes each shard once: the stats ride in the metrics.
+        from repro.cluster.coordinator import ClusterConnection, cluster_stats
 
         with ClusterConnection(shard_addresses, timeout=timeout) as probe:
-            gateway_stats = probe.stats()
-            if telemetry_doc is not None:
-                telemetry_doc["gateway"] = probe.metrics()
+            document = probe.metrics()
+        gateway_stats = cluster_stats(document)
+        if telemetry_doc is not None:
+            telemetry_doc["gateway"] = document
     return LoadgenReport(
         address=",".join(shard_addresses),
         workload=workload,

@@ -1,10 +1,11 @@
 """Client-side load generation for the online aggregation service.
 
 A :class:`ClientPool` stands in for a party's user population: it holds the
-raw (private) items, draws reporting users, and emits **privatized report
-batches of bounded size** — the full ``(n_users, domain_size)`` report
-matrix of the batch simulations is never materialised, which is what lets a
-single laptop stream millions of users through the service
+raw (private) items and draws reporting users.  :func:`iter_perturbed_batches`
+turns a round's encoded values into **privatized report batches of bounded
+size** — the full ``(n_users, domain_size)`` report matrix of the batch
+simulations is never materialised, which is what lets a single laptop
+stream millions of users through the service
 (``examples/streaming_service.py``).
 
 Determinism contract: batches are perturbed in user order from one shared
@@ -24,7 +25,6 @@ from repro.core.config import DEFAULT_REPORT_BATCH_SIZE
 from repro.federation.party import Party
 from repro.ldp.base import FrequencyOracle
 from repro.service.protocol import ReportBatch
-from repro.trie.candidate_domain import CandidateDomain
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive
 
@@ -41,10 +41,9 @@ def iter_perturbed_batches(
 ) -> Iterator[ReportBatch]:
     """Perturb encoded ``values`` into bounded :class:`ReportBatch` objects.
 
-    The low-level streaming primitive shared by :class:`ClientPool` and the
-    service round runner: ``values`` are already candidate indices over the
-    round's domain, and batches come out in user order, each perturbed with
-    the shared generator.
+    The streaming primitive of the service round runner: ``values`` are
+    already candidate indices over the round's domain, and batches come
+    out in user order, each perturbed with the shared generator.
     """
     batch_size = DEFAULT_REPORT_BATCH_SIZE if batch_size is None else int(batch_size)
     check_positive("batch_size", batch_size)
@@ -82,57 +81,39 @@ class ClientPool:
         One private item id per user (a :class:`~repro.federation.party.Party`
         items array, or any integer array).
     name:
-        Pool identifier stamped onto emitted batches.
-    batch_size:
-        Bound on the reports per emitted batch.
+        Pool identifier (the party name its rounds report under).
     """
 
-    def __init__(
-        self,
-        items: np.ndarray,
-        *,
-        name: str = "clients",
-        batch_size: int = DEFAULT_REPORT_BATCH_SIZE,
-    ):
-        check_positive("batch_size", batch_size)
+    def __init__(self, items: np.ndarray, *, name: str = "clients"):
         self.items = np.asarray(items, dtype=np.int64)
         if self.items.ndim != 1 or self.items.size == 0:
             raise ValueError("a client pool needs a non-empty 1-D item array")
         self.name = name
-        self.batch_size = int(batch_size)
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_party(cls, party: Party, *, batch_size: int = DEFAULT_REPORT_BATCH_SIZE) -> "ClientPool":
+    def from_party(cls, party: Party) -> "ClientPool":
         """Wrap one party's user population."""
-        return cls(party.items, name=party.name, batch_size=batch_size)
+        return cls(party.items, name=party.name)
 
     @classmethod
-    def from_dataset(
-        cls, dataset, *, party: str | None = None, batch_size: int = DEFAULT_REPORT_BATCH_SIZE
-    ) -> "ClientPool":
+    def from_dataset(cls, dataset, *, party: str | None = None) -> "ClientPool":
         """Wrap a registry dataset — one party, or the pooled population."""
         if party is not None:
             for candidate in dataset.parties:
                 if candidate.name == party:
-                    return cls.from_party(candidate, batch_size=batch_size)
+                    return cls.from_party(candidate)
             raise KeyError(
                 f"dataset {dataset.name!r} has no party {party!r}; "
                 f"available: {[p.name for p in dataset.parties]}"
             )
         items = np.concatenate([p.items for p in dataset.parties])
-        return cls(items, name=dataset.name, batch_size=batch_size)
+        return cls(items, name=dataset.name)
 
     @classmethod
-    def from_arrivals(
-        cls,
-        arrivals: Iterable,
-        *,
-        name: str = "arrivals",
-        batch_size: int = DEFAULT_REPORT_BATCH_SIZE,
-    ) -> "ClientPool":
+    def from_arrivals(cls, arrivals: Iterable, *, name: str = "arrivals") -> "ClientPool":
         """Pool the users of an arrival-batch iterator.
 
         The arrival-iterator seam shared with
@@ -149,7 +130,7 @@ class ClientPool:
         ]
         if not items:
             raise ValueError("a client pool needs at least one arrival batch")
-        return cls(np.concatenate(items), name=name, batch_size=batch_size)
+        return cls(np.concatenate(items), name=name)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -165,42 +146,5 @@ class ClientPool:
         gen = as_generator(rng)
         return gen.integers(0, self.n_users, size=n, dtype=np.int64)
 
-    # ------------------------------------------------------------------ #
-    # Report streaming
-    # ------------------------------------------------------------------ #
-    def iter_report_batches(
-        self,
-        oracle: FrequencyOracle,
-        domain: CandidateDomain,
-        n_bits: int,
-        rng: RandomState = None,
-        *,
-        user_indices: np.ndarray | None = None,
-        level: int | None = None,
-    ) -> Iterator[ReportBatch]:
-        """Encode and perturb a round's reports in bounded batches.
-
-        Each selected user's item is truncated to the domain's prefix
-        length, mapped onto the candidate domain (out-of-domain → dummy),
-        and perturbed through ``oracle``; batches stream out in user order.
-        """
-        if user_indices is None:
-            items = self.items
-        else:
-            items = self.items[np.asarray(user_indices, dtype=np.int64)]
-        values = domain.encode_items(items, n_bits)
-        yield from iter_perturbed_batches(
-            oracle,
-            values,
-            domain.size,
-            rng,
-            batch_size=self.batch_size,
-            party=self.name,
-            level=domain.prefix_length if level is None else level,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClientPool(name={self.name!r}, n_users={self.n_users}, "
-            f"batch_size={self.batch_size})"
-        )
+        return f"ClientPool(name={self.name!r}, n_users={self.n_users})"

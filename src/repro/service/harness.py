@@ -152,6 +152,7 @@ def serve_dataset(
     """
     check_positive("rounds", rounds)
     check_positive("level", level)
+    check_positive("batch_size", batch_size)
     if level > dataset.n_bits:
         raise ValueError(
             f"level ({level}) cannot exceed the dataset's n_bits ({dataset.n_bits})"
@@ -160,10 +161,7 @@ def serve_dataset(
         check_positive("users_per_round", users_per_round)
     domain = CandidateDomain.full_domain(level)
     gen = as_generator(seed)
-    pools = [
-        ClientPool.from_party(party, batch_size=batch_size)
-        for party in dataset.parties
-    ]
+    pools = [ClientPool.from_party(party) for party in dataset.parties]
     # One seed per (round, party), fanned out up front: the wire transcript
     # is a function of the seed alone, never of streaming order.
     seeds = iter(spawn_seeds(gen, rounds * len(pools)))

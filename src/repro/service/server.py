@@ -69,9 +69,8 @@ SERVICE_ERROR_CODES: tuple[str, ...] = (
     "admission_rejected",  # the gateway's admission control refused the request
     "internal",          # unexpected server-side failure (bug, not protocol)
     # Cross-shard failures (the cluster coordinator, repro.cluster):
-    "shard_mismatch",        # a shard's exported state disagrees with the round
-    "ring_version_mismatch",  # the hash ring changed while the round was open
-    "shard_unavailable",     # a shard gateway died or stopped answering
+    "shard_mismatch",     # a shard's exported state disagrees with the round
+    "shard_unavailable",  # a shard gateway died or stopped answering
 )
 
 

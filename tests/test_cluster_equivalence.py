@@ -7,16 +7,21 @@ TAP (k-RR), an OLH-decoding mechanism and the FedPEM and GTF baselines,
 including a scenario-replay loadgen workload.  Shard fan-out is
 transport, never semantics.
 
+Routing: a connection's k-th batch goes to shard k mod N, so batches
+split evenly over the shards, and a round merges bit-identical to one
+in-process server however they split.
+
 Failure taxonomy coverage: a clean shard shutdown mid-run surfaces as a
-structured ``shard_unavailable`` error (no hang, no crash), a ring change
-between open and barrier as ``ring_version_mismatch``, and a disagreeing
-shard export as ``shard_mismatch``.
+structured ``shard_unavailable`` error (no hang, no crash), and a
+disagreeing shard export as ``shard_mismatch``.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import ExitStack
 
+import numpy as np
 import pytest
 
 from repro.baselines.fedpem import FedPEMMechanism
@@ -29,10 +34,12 @@ from repro.cluster.coordinator import (
 from repro.core.config import MechanismConfig
 from repro.core.tap import TAPMechanism
 from repro.core.taps import TAPSMechanism
+from repro.ldp.registry import make_oracle
 from repro.net import GatewayConnection, run_over_network, start_gateway
 from repro.net.framing import OversizeFrameError
+from repro.service.clients import iter_perturbed_batches
 from repro.service.protocol import RoundBroadcast, encode_report_batch
-from repro.service.server import ServiceError, run_in_service_mode
+from repro.service.server import AggregationServer, ServiceError, run_in_service_mode
 from repro.trie.candidate_domain import CandidateDomain
 
 
@@ -81,9 +88,10 @@ def _assert_bit_identical(service, network):
     assert network.transcript.bits_by_kind() == service.transcript.bits_by_kind()
 
 
-#: TAP over k-RR plus an OLH-decoding mechanism: OLH exercises every
-#: shard's sharded decode path under the cluster's batch routing.  The
-#: FedPEM (OUE) and GTF (k-RR) baselines cover their own party loops.
+#: TAP over k-RR plus an OLH-decoding mechanism: each shard decodes the
+#: OLH batches routed to it over the full domain, and the merge must
+#: still equal one server's decode.  The FedPEM (OUE) and GTF (k-RR)
+#: baselines cover their own party loops.
 CASES = [
     (TAPMechanism, "krr"),
     (TAPSMechanism, "olh"),
@@ -203,9 +211,6 @@ def _open_test_round(connection, *, level: int = 4, party: str = "alpha"):
 
 
 def _one_payload(domain, *, party: str = "alpha", level: int = 4) -> bytes:
-    import numpy as np
-
-    from repro.ldp.registry import make_oracle
     from repro.service.protocol import ReportBatch
 
     oracle = make_oracle("krr", 4.0)
@@ -220,6 +225,122 @@ def _one_payload(domain, *, party: str = "alpha", level: int = 4) -> bytes:
             n_users=len(values), reports=reports,
         )
     )
+
+
+def _routed_shard_counts(connection) -> list[int]:
+    counters = connection.telemetry.snapshot()["counters"]
+    return [
+        counters[f"cluster_batches_routed_total{{shard={shard}}}"]
+        for shard in range(connection.n_shards)
+    ]
+
+
+class TestRoundRobinRouting:
+    """Routing on fresh gateways, so each gateway's ingest counter reads
+    this test's batches alone."""
+
+    N_BATCHES = 7
+
+    def _payloads(self) -> list[bytes]:
+        oracle = make_oracle("krr", 4.0)
+        domain = CandidateDomain.full_domain(4)
+        values = np.random.default_rng(5).integers(
+            0, domain.size, size=self.N_BATCHES * 32
+        )
+        return [
+            encode_report_batch(batch)
+            for batch in iter_perturbed_batches(
+                oracle, values, domain.size, rng=6, batch_size=32,
+                party="alpha", level=domain.prefix_length,
+            )
+        ]
+
+    def _stream(self, address: str, payloads: list[bytes]):
+        """One round of ``payloads``: the shard each batch was routed to,
+        every shard's ingested-batch total and the merged result."""
+        with ClusterConnection(address, timeout=5.0) as connection:
+            round_id, _ = _open_test_round(connection)
+            routes = []
+            for payload in payloads:
+                before = _routed_shard_counts(connection)
+                connection.send_batch(round_id, payload)
+                after = _routed_shard_counts(connection)
+                (shard,) = [s for s, (b, a) in enumerate(zip(before, after)) if a != b]
+                routes.append(shard)
+            result = connection.finalize(round_id)
+            ingested = [
+                shard["metrics"]["counters"]["gateway_batches_ingested_total"]
+                for shard in connection.metrics()["shards"]
+            ]
+        return routes, ingested, result
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_batch_k_lands_on_shard_k_mod_n(self, n_shards):
+        payloads = self._payloads()
+        assert len(payloads) == self.N_BATCHES
+        with ExitStack() as stack:
+            handles = [stack.enter_context(start_gateway()) for _ in range(n_shards)]
+            address = ",".join(handle.address for handle in handles)
+            routes, ingested, result = self._stream(address, payloads)
+            assert routes == [k % n_shards for k in range(self.N_BATCHES)]
+            assert ingested == [routes.count(shard) for shard in range(n_shards)]
+            assert max(ingested) - min(ingested) <= 1
+            # Same sends, same routes: routing is a function of the
+            # connection's send sequence alone.
+            replay_routes, _, replay = self._stream(address, payloads)
+            assert replay_routes == routes
+
+        oracle = make_oracle("krr", 4.0)
+        domain = CandidateDomain.full_domain(4)
+        server = AggregationServer()
+        local_id = server.open_round(party="alpha", level=4, oracle=oracle, domain=domain)
+        for payload in payloads:
+            server.ingest(local_id, payload)
+        reference = server.finalize_round(local_id)
+        for merged in (result, replay):
+            assert merged.n_users == reference.n_users
+            for name in ("support_counts", "estimated_counts", "estimated_frequencies"):
+                got, expected = getattr(merged, name), getattr(reference, name)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("n_batches", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_every_batch_count_splits_within_one(self, shard_pool, n_shards, n_batches):
+        """Whatever the remainder of ``n_batches / n_shards``, the first
+        shards take one batch more and the round still merges every batch."""
+        payloads = self._payloads()[:n_batches]
+        with ClusterConnection(_cluster_address(shard_pool, n_shards), timeout=5.0) as connection:
+            round_id, _ = _open_test_round(connection)
+            seqs = [connection.send_batch(round_id, payload) for payload in payloads]
+            routed = _routed_shard_counts(connection)
+            result = connection.finalize(round_id)
+        assert seqs == list(range(n_batches))
+        assert routed == [len(range(shard, n_batches, n_shards)) for shard in range(n_shards)]
+        assert max(routed) - min(routed) <= 1
+        assert result.n_users == 32 * n_batches
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_turns_carry_across_rounds(self, shard_pool, n_shards):
+        """The turn belongs to the connection, not the round: a new round
+        picks up at the shard after the previous round's last batch, while
+        each round's ``seq`` restarts at 0."""
+        payloads = self._payloads()
+        with ClusterConnection(_cluster_address(shard_pool, n_shards), timeout=5.0) as connection:
+            first, _ = _open_test_round(connection)
+            for payload in payloads[:n_shards + 1]:
+                connection.send_batch(first, payload)
+            connection.finalize(first)
+            after_first = _routed_shard_counts(connection)
+            second, _ = _open_test_round(connection)
+            assert connection.send_batch(second, payloads[0]) == 0
+            after_second = _routed_shard_counts(connection)
+            connection.finalize(second)
+        assert after_first == [2] + [1] * (n_shards - 1)
+        # Batch n_shards + 1 of this connection: shard 1, not shard 0.
+        assert [b - a for a, b in zip(after_first, after_second)] == [
+            int(shard == 1) for shard in range(n_shards)
+        ]
 
 
 class TestFailureTaxonomy:
@@ -259,24 +380,6 @@ class TestFailureTaxonomy:
             connection.shutdown_cluster()
         finally:
             connection.close()
-            first.close()
-            second.close()
-
-    def test_ring_change_mid_round_surfaces_ring_version_mismatch(self):
-        from repro.cluster.ring import HashRing
-
-        first = start_gateway()
-        second = start_gateway()
-        try:
-            with ClusterConnection(
-                f"{first.address},{second.address}", timeout=5.0
-            ) as connection:
-                round_id, _ = _open_test_round(connection)
-                connection.ring = HashRing(2, seed=99)
-                with pytest.raises(ServiceError) as err:
-                    connection.finalize(round_id)
-                assert err.value.code == "ring_version_mismatch"
-        finally:
             first.close()
             second.close()
 
@@ -363,6 +466,39 @@ class TestClusterSurface:
             assert runner.server.connection.addresses == parse_cluster_addresses(gateway)
         finally:
             runner.server.shutdown()
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_stats_sum_one_metrics_scrape_of_every_shard(self, shard_pool, n_shards):
+        """``stats()`` is the :func:`cluster_stats` of the shards' own
+        ``metrics()["stats"]`` documents, with no separate stats op."""
+        with ClusterConnection(_cluster_address(shard_pool, n_shards), timeout=5.0) as connection:
+            round_id, domain = _open_test_round(connection)
+            for _ in range(n_shards):
+                connection.send_batch(round_id, _one_payload(domain))
+            connection.finalize(round_id)
+            stats = connection.stats()
+            per_shard = [shard["stats"] for shard in connection.metrics()["shards"]]
+        assert stats["n_shards"] == n_shards
+        assert stats["shards"] == per_shard
+        for key in ("upload_bits", "broadcast_bits", "rounds_opened", "open_rounds"):
+            assert stats[key] == sum(entry[key] for entry in per_shard), key
+        assert stats["open_rounds"] == 0
+
+    @pytest.mark.parametrize("name", ["HashRing", "DEFAULT_VNODES"])
+    def test_cluster_package_exports_no_ring(self, name):
+        import repro.cluster
+
+        assert name not in repro.cluster.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro.cluster, name)
+
+    def test_ring_module_and_attribute_are_gone(self, shard_pool):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.cluster.ring")
+        with ClusterConnection(_cluster_address(shard_pool, 2), timeout=5.0) as connection:
+            assert not hasattr(connection, "ring")
 
     def test_closed_single_gateway_is_shard_unavailable(self, two_party_dataset):
         handle = start_gateway()

@@ -310,9 +310,9 @@ class TestLoadgenSpec:
 
     @pytest.mark.parametrize("key,value", [("ring_seed", 0), ("n_vnodes", 64)])
     def test_stale_ring_keys_fail_loudly(self, key, value):
-        # The hash ring is fixed by the shard count; a spec that still
-        # sets its old knobs (even to their old defaults) must not run
-        # as if they applied.
+        # A cluster routes batches round-robin, with no ring to configure;
+        # a spec that still sets the old ring knobs (even to their old
+        # defaults) must not run as if they applied.
         stale = {**LOADGEN_DICT, "cluster": {"shards": 2, key: value}}
         with pytest.raises(SpecError, match=rf"unknown cluster.*'{key}'"):
             LoadgenSpec.from_dict(stale, source="stale.yaml")

@@ -35,7 +35,7 @@ from repro.cluster import ClusterConnection, ClusterCoordinator
 from repro.federation.transcript import FederationTranscript
 from repro.ldp import available_oracles, make_oracle
 from repro.net import GatewayConnection, framing, start_gateway
-from repro.service.clients import ClientPool, iter_perturbed_batches
+from repro.service.clients import iter_perturbed_batches
 from repro.service.protocol import (
     RoundBroadcast,
     WireFormatError,
@@ -62,10 +62,13 @@ def _items(seed: int = 0) -> np.ndarray:
 def _wire_batches(oracle_name: str) -> list[bytes]:
     """The canonical wire payloads of one deterministic report stream."""
     oracle = make_oracle(oracle_name, epsilon=EPSILON)
-    pool = ClientPool(_items(), name="party-a", batch_size=BATCH_SIZE)
+    domain = _domain()
     return [
         encode_report_batch(batch)
-        for batch in pool.iter_report_batches(oracle, _domain(), N_BITS, rng=17)
+        for batch in iter_perturbed_batches(
+            oracle, domain.encode_items(_items(), N_BITS), domain.size, rng=17,
+            batch_size=BATCH_SIZE, party="party-a", level=domain.prefix_length,
+        )
     ]
 
 
@@ -312,8 +315,10 @@ def test_gateway_close_writes_the_codec_bytes(gateway, traced):
     items = np.random.default_rng(3).integers(0, 1 << CLOSE_LEVEL, size=5_000)
     payloads = [
         encode_report_batch(batch)
-        for batch in ClientPool(items, name="party-a", batch_size=1_000)
-        .iter_report_batches(oracle, domain, CLOSE_LEVEL, rng=11)
+        for batch in iter_perturbed_batches(
+            oracle, domain.encode_items(items, CLOSE_LEVEL), domain.size, rng=11,
+            batch_size=1_000, party="party-a", level=domain.prefix_length,
+        )
     ]
 
     server = AggregationServer()

@@ -91,6 +91,12 @@ class TestErrorMapping:
         assert mapped.code == code
         assert "boom" in str(mapped)
 
+    def test_no_ring_version_code(self):
+        # A cluster's routing has no version to disagree on; the code is
+        # gone rather than left unreachable.
+        assert "ring_version_mismatch" not in SERVICE_ERROR_CODES
+        assert "shard_mismatch" in SERVICE_ERROR_CODES
+
     def test_wire_format_and_frame_errors_round_trip(self):
         for exc, expected in (
             (WireFormatError("bad payload"), WireFormatError),

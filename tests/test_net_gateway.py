@@ -282,6 +282,18 @@ class TestStructuredErrors:
                 connection._next_message()
 
 
+    def test_retired_stats_op_is_refused(self, gateway):
+        """Introspection is one op: ``metrics`` embeds the stats document,
+        and a raw ``stats`` control frame is an unknown op."""
+        with GatewayConnection(gateway.address) as connection:
+            assert connection.stats() == connection.metrics()["stats"]
+            connection._send(
+                framing.FRAME_ROUND_CONTROL, framing.encode_control({"op": "stats"})
+            )
+            with pytest.raises(framing.FrameError, match="unknown control op 'stats'"):
+                connection._next_message()
+
+
 class TestAdmissionControl:
     def test_oversize_frame_rejected_and_connection_closed(self):
         with start_gateway(max_frame_bytes=512) as handle:

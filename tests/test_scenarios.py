@@ -360,9 +360,7 @@ class TestArrivalSeams:
         from repro.service import ClientPool
 
         scenario = _scenario(n_steps=3, batch_size=100)
-        pool = ClientPool.from_arrivals(
-            scenario.iter_batches(0), name="lab", batch_size=64
-        )
+        pool = ClientPool.from_arrivals(scenario.iter_batches(0), name="lab")
         assert pool.n_users == 300 and pool.name == "lab"
         with pytest.raises(ValueError, match="arrival"):
             ClientPool.from_arrivals([])

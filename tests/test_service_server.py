@@ -282,7 +282,7 @@ class TestStructuredErrorCodes:
 
 class TestClientPool:
     def test_from_dataset_and_party(self, two_party_dataset):
-        pooled = ClientPool.from_dataset(two_party_dataset, batch_size=100)
+        pooled = ClientPool.from_dataset(two_party_dataset)
         assert pooled.n_users == two_party_dataset.total_users
         alpha = ClientPool.from_dataset(two_party_dataset, party="alpha")
         assert alpha.name == "alpha"
@@ -290,12 +290,18 @@ class TestClientPool:
             ClientPool.from_dataset(two_party_dataset, party="gamma")
 
     def test_bounded_batches_cover_all_users(self, two_party_dataset):
-        pool = ClientPool.from_dataset(two_party_dataset, batch_size=128)
+        pool = ClientPool.from_dataset(two_party_dataset)
         oracle = make_oracle("krr", epsilon=4.0)
         domain = _domain(4)
         batches = list(
-            pool.iter_report_batches(
-                oracle, domain, two_party_dataset.n_bits, rng=0
+            iter_perturbed_batches(
+                oracle,
+                domain.encode_items(pool.items, two_party_dataset.n_bits),
+                domain.size,
+                rng=0,
+                batch_size=128,
+                party=pool.name,
+                level=domain.prefix_length,
             )
         )
         assert all(b.n_users <= 128 for b in batches)
@@ -319,13 +325,15 @@ class TestMemoryModel:
         oracle = make_oracle(oracle_name, epsilon=4.0)
         domain = CandidateDomain.full_domain(bits, include_dummy=True)
         items = np.random.default_rng(0).integers(0, 1 << bits, size=n_users)
-        pool = ClientPool(items, name="stream", batch_size=batch_size)
         server = AggregationServer()
         round_id = server.open_round(
             party="stream", level=bits, oracle=oracle, domain=domain
         )
         n_batches = wire_bytes = 0
-        for batch in pool.iter_report_batches(oracle, domain, bits, rng=1):
+        for batch in iter_perturbed_batches(
+            oracle, domain.encode_items(items, bits), domain.size, rng=1,
+            batch_size=batch_size, party="stream", level=domain.prefix_length,
+        ):
             reports = batch.reports
             parts = reports if isinstance(reports, tuple) else (reports,)
             # Every report form fits in batch × (domain + 16) bytes.
@@ -354,3 +362,127 @@ class TestRunInServiceMode:
         result = run_in_service_mode(mechanism, two_party_dataset, rng=0)
         assert result.transcript.messages_of_kind("report_batch")
         assert len(result.heavy_hitters) == tiny_config.k
+
+
+class TestDefensePolicy:
+    """``MechanismConfig.defense`` reaches every service-mode server, and
+    the modes with no local shard to defend refuse it up front."""
+
+    @staticmethod
+    def _config(dataset, **overrides):
+        from repro.core.config import MechanismConfig
+
+        base = dict(
+            k=5, epsilon=4.0, n_bits=dataset.n_bits, granularity=5,
+            simulation_mode="per_user", execution_mode="service",
+            report_batch_size=64, defense="trimmed", defense_fraction=0.4,
+        )
+        base.update(overrides)
+        return MechanismConfig(**base)
+
+    def test_every_service_server_carries_the_policy(self, two_party_dataset):
+        from repro.core.tap import TAPMechanism
+
+        config = self._config(two_party_dataset)
+        for party in two_party_dataset.parties:
+            runner = TAPMechanism._make_round_runner(config, party.name)
+            assert runner.server.defense == config.defense_policy()
+        undefended = self._config(two_party_dataset, defense=None)
+        assert TAPMechanism._make_round_runner(undefended, "alpha").server.defense is None
+
+    def test_defended_service_run_differs_from_the_exact_merge(self, tiny_rdb):
+        from repro.core.tap import TAPMechanism
+
+        defended = TAPMechanism(self._config(tiny_rdb)).run(tiny_rdb, rng=42)
+        exact = TAPMechanism(self._config(tiny_rdb, defense=None)).run(tiny_rdb, rng=42)
+        assert defended.estimated_counts != exact.estimated_counts
+
+    @pytest.mark.parametrize("mode", ["memory", "network"])
+    def test_memory_and_network_runs_refuse_a_defense(self, two_party_dataset, mode):
+        from repro.core.tap import TAPMechanism
+
+        # The config itself is valid (the scenario tracker builds memory
+        # configs with a defense); the mechanism run refuses it before
+        # any round, so the network run never dials the (dead) gateway.
+        gateway = {"gateway": "127.0.0.1:9"} if mode == "network" else {}
+        config = self._config(two_party_dataset, execution_mode=mode, **gateway)
+        with pytest.raises(ValueError, match="defense='trimmed'"):
+            TAPMechanism(config).run(two_party_dataset, rng=0)
+
+    @pytest.mark.parametrize("kind", ["trimmed", "norm_bound"])
+    @pytest.mark.parametrize("mechanism", ["fedpem", "gtf", "tap", "taps"])
+    def test_every_mechanism_runs_on_defended_servers(
+        self, two_party_dataset, monkeypatch, mechanism, kind
+    ):
+        """The policy reaches the servers a real run streams through, for
+        every mechanism and defense kind: none builds its own server."""
+        from repro.core.base import FederatedMechanism
+        from repro.experiments.runner import MECHANISM_REGISTRY
+
+        built = []
+        make_runner = FederatedMechanism._make_round_runner
+
+        def recording(config, party_name):
+            runner = make_runner(config, party_name)
+            built.append(runner)
+            return runner
+
+        monkeypatch.setattr(FederatedMechanism, "_make_round_runner", staticmethod(recording))
+        config = self._config(two_party_dataset, defense=kind)
+        result = MECHANISM_REGISTRY[mechanism](config).run(two_party_dataset, rng=0)
+        assert result.transcript.messages_of_kind("report_batch")
+        assert len(built) == len(two_party_dataset.parties)
+        assert all(runner.server.defense == config.defense_policy() for runner in built)
+        assert {runner.server.defense.kind for runner in built} == {kind}
+
+    @pytest.mark.parametrize("mode", ["memory", "network"])
+    @pytest.mark.parametrize("mechanism", ["fedpem", "gtf", "taps"])
+    def test_no_mechanism_runs_a_round_outside_service_mode_with_a_defense(
+        self, two_party_dataset, monkeypatch, mechanism, mode
+    ):
+        from repro.core.base import FederatedMechanism
+        from repro.experiments.runner import MECHANISM_REGISTRY
+
+        def no_runner(config, party_name):
+            raise AssertionError("a runner was built before the defense check")
+
+        monkeypatch.setattr(FederatedMechanism, "_make_round_runner", staticmethod(no_runner))
+        gateway = {"gateway": "127.0.0.1:9"} if mode == "network" else {}
+        config = self._config(two_party_dataset, execution_mode=mode, **gateway)
+        with pytest.raises(ValueError, match=f"{mode} mode has no shard to defend"):
+            MECHANISM_REGISTRY[mechanism](config).run(two_party_dataset, rng=0)
+
+
+class TestBatchingLeftThePool:
+    """A pool holds users only; whoever streams a round slices it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ds: ClientPool(ds.parties[0].items, batch_size=64),
+            lambda ds: ClientPool.from_party(ds.parties[0], batch_size=64),
+            lambda ds: ClientPool.from_dataset(ds, batch_size=64),
+            lambda ds: ClientPool.from_arrivals([ds.parties[0].items], batch_size=64),
+        ],
+        ids=["init", "from_party", "from_dataset", "from_arrivals"],
+    )
+    def test_pool_constructors_take_no_batch_size(self, two_party_dataset, build):
+        with pytest.raises(TypeError, match="batch_size"):
+            build(two_party_dataset)
+        assert not hasattr(ClientPool.from_dataset(two_party_dataset), "batch_size")
+        assert not hasattr(ClientPool, "iter_report_batches")
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_serve_dataset_refuses_a_nonpositive_batch_size(self, tiny_rdb, batch_size):
+        from repro.service.harness import serve_dataset
+
+        with pytest.raises(ValueError, match="batch_size"):
+            serve_dataset(tiny_rdb, level=4, batch_size=batch_size, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_loadgen_refuses_a_nonpositive_batch_size(self, batch_size):
+        from repro.net.loadgen import run_loadgen
+
+        # Refused before any connection: the address is never dialled.
+        with pytest.raises(ValueError, match="batch_size"):
+            run_loadgen("127.0.0.1:9", dataset="rdb", scale="tiny", batch_size=batch_size)
